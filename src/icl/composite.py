@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .instance import IndexCodingInstance, validate_instance
-from .lp import OPTIMAL, Constraint, LinearProgram, _solve_leq_arrays, solve_lp
+from .lp import _INT64_SAFE, OPTIMAL, Constraint, LinearProgram, _solve_leq_arrays, solve_lp
 
 # Composite variables grow as 2^N; past this many messages neither the
 # LP columns nor the choice enumeration are tractable.
@@ -122,6 +122,14 @@ def decoding_options(inst: IndexCodingInstance, user: int, per_user_cap: int | N
     return options
 
 
+def _choice_count(per_user: Sequence[Sequence[frozenset[int]]], max_choices: int) -> int:
+    """Number of decoding choices; SearchSpaceOverflow past max_choices."""
+    total = math.prod(len(opts) for opts in per_user)
+    if total > max_choices:
+        raise SearchSpaceOverflow(f"{total} decoding choices exceed the limit {max_choices}")
+    return total
+
+
 def enumerate_decoding_choices(
     inst: IndexCodingInstance,
     per_user_cap: int | None = None,
@@ -134,11 +142,7 @@ def enumerate_decoding_choices(
     """
     _require_valid(inst)
     per_user = [decoding_options(inst, j, per_user_cap) for j in range(inst.num_users)]
-    total = 1
-    for opts in per_user:
-        total *= len(opts)
-    if total > max_choices:
-        raise SearchSpaceOverflow(f"{total} decoding choices exceed the limit {max_choices}")
+    _choice_count(per_user, max_choices)
 
     def gen() -> Iterator[DecodingChoice]:
         from itertools import product
@@ -356,11 +360,7 @@ def max_symmetric_rate(
     """
     _require_valid(inst)
     data = _prepare_sweep(inst, per_user_cap)
-    total = 1
-    for opts in data.options:
-        total *= len(opts)
-    if total > max_choices:
-        raise SearchSpaceOverflow(f"{total} decoding choices exceed the limit {max_choices}")
+    total = _choice_count(data.options, max_choices)
 
     if threads > 1 and total > 1:
         from multiprocessing import get_context
@@ -524,7 +524,7 @@ def _price_range(
         m = A.shape[0]
         rhs = np.zeros(m, dtype=np.int64)
         rhs[:ndecomp] = data.c
-        obj = np.zeros(len(cols), dtype=np.int64)
+        obj = np.zeros(len(cols), dtype=wnum.dtype)
         obj[:n] = wnum
         status, tab, width = _solve_leq_arrays(A, rhs, obj)
         if status != OPTIMAL:
@@ -551,6 +551,20 @@ def _price_range(
         cands.sort(key=lambda e: (-e[0], e[1]))
         del cands[keep:]
     return cands
+
+
+def _scaled_weights(weights: Sequence[RationalLike]) -> tuple[np.ndarray, int]:
+    """Clear denominators: (integer numerators, common denominator).
+
+    The numerators stay int64 while they fit the integer simplex's int64
+    range; past it they are Python integers (object dtype), and the
+    pricing LPs then run on object tableaus.
+    """
+    fracs = [Fraction(w) for w in weights]
+    wden = math.lcm(*(w.denominator for w in fracs))
+    nums = [int(w * wden) for w in fracs]
+    small = all(abs(v) <= _INT64_SAFE for v in nums)
+    return np.array(nums, dtype=np.int64 if small else object), wden
 
 
 def _merge_candidates(
@@ -665,11 +679,7 @@ def time_shared_symmetric_rate(
     """
     _require_valid(inst)
     data = _prepare_price(inst, per_user_cap)
-    total = 1
-    for opts in data.options:
-        total *= len(opts)
-    if total > max_choices:
-        raise SearchSpaceOverflow(f"{total} decoding choices exceed the limit {max_choices}")
+    total = _choice_count(data.options, max_choices)
 
     n = data.n
     c = data.c
@@ -698,9 +708,7 @@ def time_shared_symmetric_rate(
     for rounds in range(1, max_rounds + 1):
         if pool:
             tau, weights = _hull_master([p.rates for p in pool], n)
-        wden = math.lcm(*(w.denominator for w in weights))
-        wnum = np.array([int(w * wden) for w in weights], dtype=np.int64)
-        cands = price_all(wnum, wden)
+        cands = price_all(*_scaled_weights(weights))
         best_value = cands[0][0]
         upper = min(upper, best_value)
         if trace is not None:
@@ -752,23 +760,35 @@ def max_weighted_rate(
 
     The per-choice regions are polyhedra whose union is generally not
     convex; a linear functional still attains its supremum over the
-    union at one of the per-choice optima, so each choice is solved
-    separately and the best kept.  Values are in bits.
+    union at one of the per-choice optima, so one exact pricing sweep
+    over every choice finds it.  The first maximizing choice in
+    enumeration order is returned, and its rates and allocation are
+    re-checked against that choice's polyhedron before returning.
+    A message missing from weights has weight 0.  Values are in bits.
+
+    Raises ValueError when weights name unknown messages, or give a
+    positive weight to a message no user demands: with every K_j = D_j
+    nothing bounds that message's rate, so the supremum is infinite.
     """
     _require_valid(inst)
-    best: WeightedResult | None = None
-    for choice in enumerate_decoding_choices(inst, per_user_cap, max_choices):
-        lp = build_composite_lp(inst, choice, weights=weights)
-        sol = solve_lp(lp, verify=False)
-        if sol.status != OPTIMAL:
-            raise AssertionError("composite LP is feasible and bounded by construction")
-        if best is None or sol.optimum > best.value:
-            rates = {i: sol.assignment[f"R_{i}"] for i in inst.message_ids()}
-            alloc = {
-                frozenset(_members(p)): sol.assignment[_var_name(_members(p))]
-                for p in range(1, 1 << inst.num_messages)
-                if sol.assignment[_var_name(_members(p))]
-            }
-            best = WeightedResult(sol.optimum, choice, rates, alloc)
-    assert best is not None
-    return best
+    data = _prepare_price(inst, per_user_cap)
+    total = _choice_count(data.options, max_choices)
+    stray = set(weights) - set(inst.message_ids())
+    if stray:
+        raise ValueError(f"weights name unknown messages {sorted(stray)}")
+    w = [Fraction(weights.get(i, 0)) for i in inst.message_ids()]
+    demanded = set().union(*(spec.demands for spec in inst.users))
+    unbounded = [i for i in inst.message_ids() if w[i - 1] > 0 and i not in demanded]
+    if unbounded:
+        raise ValueError(
+            f"weighted rate sum is unbounded: messages {unbounded} have positive "
+            "weight but no user demands them"
+        )
+
+    [(value, idx, point, alloc)] = _price_range(data, *_scaled_weights(w), 0, total, keep=1)
+    choice = _choice_at(data, idx)
+    allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
+    if not check_rate_point(inst, choice, point, allocation):
+        raise AssertionError("optimal allocation failed the certificate re-check")
+    rates = {i: point[i - 1] for i in inst.message_ids()}
+    return WeightedResult(value, choice, rates, allocation)

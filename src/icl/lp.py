@@ -296,11 +296,14 @@ def _solve_leq_arrays(
     obj is either a column index (maximize that variable) or an integer
     coefficient vector over the structural variables.  Requires integer A
     with moderate entries and rhs >= 0, so the slack basis is feasible
-    and no phase 1 is needed.  Returns the status, the final tableau,
-    and the column index of the right-hand side.
+    and no phase 1 is needed.  An object-dtype obj (Python integers past
+    the int64 range) puts the whole tableau on object dtype.  Returns the
+    status, the final tableau, and the column index of the right-hand
+    side.
     """
     m, n = A.shape
-    t = np.zeros((m + 1, n + m + 1), dtype=np.int64)
+    big = isinstance(obj, np.ndarray) and obj.dtype == object
+    t = np.zeros((m + 1, n + m + 1), dtype=object if big else np.int64)
     t[:m, :n] = A
     t[np.arange(m), n + np.arange(m)] = 1
     t[:m, -1] = rhs

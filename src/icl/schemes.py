@@ -56,11 +56,7 @@ class LinearScheme:
         return off
 
     def col_mask(self, messages: Iterable[int]) -> int:
-        off = self.offsets()
-        mask = 0
-        for i in messages:
-            mask |= ((1 << (off[i] - off[i - 1])) - 1) << off[i - 1]
-        return mask
+        return _col_mask(self.offsets(), messages)
 
     def global_rows(self) -> list[int]:
         return [row for _, mat in self.composites for row in mat.rows]
@@ -77,22 +73,36 @@ def _require_wellformed(scheme: LinearScheme, num_messages: int | None = None) -
         raise ValueError("message bit counts must be nonnegative")
     total = scheme.total_bits
     ids = set(range(1, len(scheme.msg_bits) + 1))
+    off = scheme.offsets()
     for P, mat in scheme.composites:
         if not P or not P <= ids:
             raise ValueError(f"composite set {sorted(P)} is not a nonempty message subset")
         if mat.cols != total:
             raise ValueError("composite rows must span all message bit columns")
-        support = scheme.col_mask(P)
+        support = _col_mask(off, P)
         for row in mat.rows:
             if row & ~support:
                 raise ValueError(f"composite {sorted(P)} has a row outside its support")
 
 
+def _col_mask(off: Sequence[int], messages: Iterable[int]) -> int:
+    """Bit columns of the messages, given the scheme's offsets()."""
+    mask = 0
+    for i in messages:
+        mask |= ((1 << (off[i] - off[i - 1])) - 1) << off[i - 1]
+    return mask
+
+
+def _entropy(rows: Sequence[int], off: Sequence[int], known: Iterable[int]) -> int:
+    """conditional_entropy on precomputed global rows and offsets, unchecked."""
+    unknown = _col_mask(off, set(range(1, len(off))) - set(known))
+    return rank_of(row & unknown for row in rows)
+
+
 def conditional_entropy(scheme: LinearScheme, known: Iterable[int] = ()) -> int:
     """H(X | U_known) in bits: the rank of X on the unknown bit columns."""
     _require_wellformed(scheme)
-    unknown = scheme.col_mask(set(range(1, len(scheme.msg_bits) + 1)) - set(known))
-    return rank_of(row & unknown for row in scheme.global_rows())
+    return _entropy(scheme.global_rows(), scheme.offsets(), known)
 
 
 def _check_decoding_set(
@@ -121,7 +131,8 @@ def kappa(
     _check_decoding_set(inst, user, kset, J)
     spec = inst.users[user - 1]
     ak = spec.knows | kset
-    return conditional_entropy(scheme, ak - frozenset(J)) - conditional_entropy(scheme, ak)
+    rows, off = scheme.global_rows(), scheme.offsets()
+    return _entropy(rows, off, ak - frozenset(J)) - _entropy(rows, off, ak)
 
 
 @dataclass(frozen=True)
@@ -161,23 +172,24 @@ def check_scheme(
         raise ValueError("choice must name one decoding set per user")
 
     c = scheme.channel_bits
+    rows, off = scheme.global_rows(), scheme.offsets()
     channel_use = []
     channel_ok = []
     mac: list[dict[frozenset[int], tuple[int, bool]]] = []
     for user, (spec, K) in enumerate(zip(inst.users, choice.sets), start=1):
         _check_decoding_set(inst, user, K)
-        use = conditional_entropy(scheme, spec.knows)
+        use = _entropy(rows, off, spec.knows)
         channel_use.append(use)
         channel_ok.append(use <= c)
         entry: dict[frozenset[int], tuple[int, bool]] = {}
         ak = spec.knows | K
-        h_ak = conditional_entropy(scheme, ak)
+        h_ak = _entropy(rows, off, ak)
         for r in range(1, len(K) + 1):
             for J in combinations(sorted(K), r):
                 jset = frozenset(J)
                 if not jset & spec.demands:
                     continue
-                cap = conditional_entropy(scheme, ak - jset) - h_ak
+                cap = _entropy(rows, off, ak - jset) - h_ak
                 need = sum(scheme.msg_bits[i - 1] for i in jset)
                 entry[jset] = (cap, need <= cap)
         mac.append(entry)

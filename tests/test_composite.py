@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from icl.composite import (
     DecodingChoice,
     SearchSpaceOverflow,
+    _prepare_price,
+    _price_range,
+    _scaled_weights,
     build_composite_lp,
     check_certificate,
     check_rate_point,
@@ -16,8 +20,8 @@ from icl.composite import (
     max_weighted_rate,
     time_shared_symmetric_rate,
 )
-from icl.instance import builtin_instance
-from icl.lp import solve_lp
+from icl.instance import IndexCodingInstance, UserSpec, builtin_instance, validate_instance
+from icl.lp import OPTIMAL, solve_lp
 
 
 EX1 = builtin_instance("example1")
@@ -149,6 +153,88 @@ def test_weighted_mode_respects_weights():
     # The whole channel bit goes to the heavier message.
     assert res.value == 2
     assert res.rates[1] == 1 and res.rates[2] == 0
+
+
+def _weighted_by_generic_lp(inst, weights, cap=None):
+    """Reference: one generic LP per decoding choice, first maximizer kept."""
+    best = None
+    for choice in enumerate_decoding_choices(inst, cap):
+        sol = solve_lp(build_composite_lp(inst, choice, weights=weights), verify=True)
+        assert sol.status == OPTIMAL
+        if best is None or sol.optimum > best[0]:
+            best = (sol.optimum, choice)
+    return best
+
+
+def test_weighted_weights_past_int64():
+    # The common denominator of these weights is about 2^99, so the
+    # scaled objective cannot be an int64 vector.
+    weights = {1: Fraction(1, 2**33 + 17), 2: Fraction(1, 2**33 + 25), 3: Fraction(1, 2**33 + 31)}
+    res = max_weighted_rate(builtin_instance("no-side-info(3)"), weights)
+    assert res.value == Fraction(1, 8589934609)
+    assert res.best_choice.sets == (frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3}))
+    assert res.rates == {1: 1, 2: 0, 3: 0}
+
+
+SIDE_ONLY = IndexCodingInstance(3, (UserSpec.of({1}, {3}), UserSpec.of({2})))
+
+
+def test_weighted_rejects_unbounded_sum():
+    # Message 3 is known by user 1 and demanded by nobody.
+    with pytest.raises(ValueError, match=r"messages \[3\]"):
+        max_weighted_rate(SIDE_ONLY, {1: 1, 2: 1, 3: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="unknown messages"):
+        max_weighted_rate(SIDE_ONLY, {4: 1})
+
+
+@pytest.mark.parametrize("w3", [0, -1, None])
+def test_weighted_undemanded_message_without_positive_weight(w3):
+    weights = {1: 1, 2: 2} if w3 is None else {1: 1, 2: 2, 3: w3}
+    res = max_weighted_rate(SIDE_ONLY, weights)
+    assert (res.value, res.best_choice) == _weighted_by_generic_lp(SIDE_ONLY, weights)
+    assert res.value == 2
+
+
+@st.composite
+def _weighted_cases(draw):
+    """A valid instance, a cap and weights that keep the weighted sum finite."""
+    n = draw(st.integers(2, 4))
+    users = []
+    for _ in range(draw(st.integers(2, 4))):
+        demand = draw(st.integers(1, n))
+        roles = draw(st.lists(st.sampled_from("-dk"), min_size=n, max_size=n))
+        demands = {demand} | {i for i in range(1, n + 1) if roles[i - 1] == "d"}
+        knows = {i for i in range(1, n + 1) if roles[i - 1] == "k"} - demands
+        users.append(UserSpec.of(demands, knows))
+    inst = IndexCodingInstance(n, tuple(users), draw(st.integers(1, 3)))
+    assume(not validate_instance(inst))
+    cap = draw(st.sampled_from([None, 1]))
+    # Keep the generic reference loop to a few hundred LPs per example.
+    assume(sum(1 for _ in enumerate_decoding_choices(inst, cap)) <= 256)
+    weight = st.fractions(min_value=-2, max_value=3, max_denominator=6)
+    drawn = draw(st.lists(st.one_of(st.none(), weight), min_size=n, max_size=n))
+    weights = {i: w for i, w in enumerate(drawn, start=1) if w is not None}
+    demanded = set().union(*(u.demands for u in users))
+    assume(all(w <= 0 or i in demanded for i, w in weights.items()))
+    return inst, cap, weights
+
+
+@given(_weighted_cases())
+def test_weighted_sweep_matches_generic_lp(case):
+    inst, cap, weights = case
+    res = max_weighted_rate(inst, weights, per_user_cap=cap)
+    assert (res.value, res.best_choice) == _weighted_by_generic_lp(inst, weights, cap)
+    rates = [res.rates[i] for i in inst.message_ids()]
+    assert check_rate_point(inst, res.best_choice, rates, res.allocation)
+    assert res.value == sum(Fraction(w) * res.rates[i] for i, w in weights.items())
+
+    # Object-dtype weights run the same pivots on Python integers.
+    data = _prepare_price(inst, cap)
+    total = sum(1 for _ in enumerate_decoding_choices(inst, cap))
+    wnum, wden = _scaled_weights([weights.get(i, 0) for i in inst.message_ids()])
+    assert _price_range(data, wnum.astype(object), wden, 0, total, 3) == _price_range(
+        data, wnum, wden, 0, total, 3
+    )
 
 
 def test_time_sharing_trivial_instances():
