@@ -170,10 +170,6 @@ def leaders(d: Iterable[int]) -> frozenset[int]:
     return frozenset(first.values())
 
 
-def distinct_demanded(d: Iterable[int]) -> frozenset[int]:
-    return frozenset(d)
-
-
 def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState, SubfileMap]:
     """Centralized placement: split each file into binom(K,t) equal
     subfiles indexed by the t-subsets of users, each user caching every

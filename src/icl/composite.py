@@ -217,171 +217,6 @@ def build_composite_lp(
     return LinearProgram(rate_vars + tuple(svars), objective, tuple(cons))
 
 
-@dataclass(frozen=True)
-class _SweepData:
-    """Per-instance precomputation for the symmetric sweep."""
-
-    n: int
-    c: int
-    decomp: np.ndarray                  # rows over columns [R, S_1..S_{2^n-1}]
-    options: list[list[frozenset[int]]]
-    blocks: list[list[np.ndarray]]      # blocks[j][o]: decoding rows for option o
-    used: list[list[int]]               # used[j][o]: bitmask of S columns hit
-
-
-def _prepare_sweep(inst: IndexCodingInstance, per_user_cap: int | None) -> _SweepData:
-    n = inst.num_messages
-    ncols = 1 << n                       # column 0 is R, column p is S of mask p
-    decomp_rows = []
-    seen_amask = set()
-    for spec in inst.users:
-        amask = _mask(spec.knows)
-        if amask in seen_amask:
-            continue
-        seen_amask.add(amask)
-        row = np.zeros(ncols, dtype=np.int64)
-        for p in range(1, ncols):
-            if p & ~amask:
-                row[p] = 1
-        decomp_rows.append(row)
-    options = [decoding_options(inst, j, per_user_cap) for j in range(inst.num_users)]
-    blocks: list[list[np.ndarray]] = []
-    used: list[list[int]] = []
-    for j, spec in enumerate(inst.users):
-        amask = _mask(spec.knows)
-        jblocks: list[np.ndarray] = []
-        jused: list[int] = []
-        for K in options[j]:
-            kmask = _mask(K)
-            akmask = amask | kmask
-            entries: list[tuple[int, int, int]] = []   # (|J|, hit bitmask, J mask)
-            for jmask in _subsets_of(kmask):
-                hit = 0
-                for p in _subsets_of(akmask):
-                    if p & jmask:
-                        hit |= 1 << p
-                entries.append((jmask.bit_count(), hit, jmask))
-            # A row is implied by another with a no-smaller R coefficient
-            # and a hit set that is a subset of its own; drop it.
-            kept: list[tuple[int, int, int]] = []
-            for size1, hit1, j1 in entries:
-                implied = False
-                for size2, hit2, j2 in entries:
-                    if j1 == j2:
-                        continue
-                    if size1 <= size2 and hit2 & ~hit1 == 0:
-                        if size1 < size2 or hit1 != hit2 or j2 < j1:
-                            implied = True
-                            break
-                if not implied:
-                    kept.append((size1, hit1, j1))
-            block = np.zeros((len(kept), ncols), dtype=np.int64)
-            blockused = 0
-            for i, (size, hit, _) in enumerate(kept):
-                block[i, 0] = size
-                blockused |= hit
-                h = hit >> 1
-                p = 1
-                while h:
-                    if h & 1:
-                        block[i, p] = -1
-                    h >>= 1
-                    p += 1
-            jblocks.append(block)
-            jused.append(blockused)
-        blocks.append(jblocks)
-        used.append(jused)
-    return _SweepData(n, inst.channel_bits, np.array(decomp_rows, dtype=np.int64), options, blocks, used)
-
-
-def _sweep_range(data: _SweepData, start: int, stop: int) -> tuple[Fraction, int, dict[int, Fraction]]:
-    """Scan choice indices [start, stop); return (best R, its index, S values)."""
-    counts = [len(o) for o in data.options]
-    nu = len(counts)
-    best = Fraction(-1)
-    best_idx = -1
-    best_alloc: dict[int, Fraction] = {}
-    ndecomp = data.decomp.shape[0]
-    for idx in range(start, stop):
-        rem = idx
-        opt = [0] * nu
-        for j in range(nu - 1, -1, -1):
-            opt[j] = rem % counts[j]
-            rem //= counts[j]
-        usedbits = 0
-        for j in range(nu):
-            usedbits |= data.used[j][opt[j]]
-        cols = [0] + [p for p in range(1, 1 << data.n) if usedbits >> p & 1]
-        parts = [data.decomp] + [data.blocks[j][opt[j]] for j in range(nu)]
-        A = np.concatenate(parts, axis=0)[:, cols]
-        m = A.shape[0]
-        rhs = np.zeros(m, dtype=np.int64)
-        rhs[:ndecomp] = data.c
-        status, tab, width = _solve_leq_arrays(A, rhs, 0)
-        if status != OPTIMAL:
-            raise AssertionError("composite LP is feasible and bounded by construction")
-        value = tab.value_of(0, width)
-        if value > best:
-            best = value
-            best_idx = idx
-            best_alloc = {}
-            for r in range(tab.nrows):
-                jcol = tab.basis[r]
-                if 0 < jcol < len(cols):
-                    v = Fraction(int(tab.t[r, width]), int(tab.t[r, jcol]))
-                    if v:
-                        best_alloc[cols[jcol]] = v
-    return best, best_idx, best_alloc
-
-
-def _choice_at(data: _SweepData, idx: int) -> DecodingChoice:
-    counts = [len(o) for o in data.options]
-    sets = []
-    rem = idx
-    for j in range(len(counts) - 1, -1, -1):
-        sets.append(data.options[j][rem % counts[j]])
-        rem //= counts[j]
-    return DecodingChoice(tuple(reversed(sets)))
-
-
-def max_symmetric_rate(
-    inst: IndexCodingInstance,
-    per_user_cap: int | None = None,
-    max_choices: int = 1 << 24,
-    threads: int = 1,
-) -> CompositeResult:
-    """Best symmetric composite rate over every decoding choice.
-
-    Exact rational arithmetic throughout; the result carries the
-    maximizing choice (first in enumeration order on ties) and its
-    composite-rate allocation, and is re-checked against the constraint
-    system before being returned.  The rate is normalized per channel
-    bit.
-    """
-    _require_valid(inst)
-    data = _prepare_sweep(inst, per_user_cap)
-    total = _choice_count(data.options, max_choices)
-
-    if threads > 1 and total > 1:
-        from multiprocessing import get_context
-
-        nchunks = min(threads, total)
-        bounds = [total * i // nchunks for i in range(nchunks + 1)]
-        args = [(data, bounds[i], bounds[i + 1]) for i in range(nchunks)]
-        with get_context("fork").Pool(threads) as pool:
-            results = pool.starmap(_sweep_range, args)
-        best, best_idx, best_alloc = max(results, key=lambda r: (r[0], -r[1]))
-    else:
-        best, best_idx, best_alloc = _sweep_range(data, 0, total)
-
-    choice = _choice_at(data, best_idx)
-    allocation = {frozenset(_members(p)): v for p, v in best_alloc.items()}
-    rate = best / data.c
-    if not check_certificate(inst, choice, rate, allocation):
-        raise AssertionError("optimal allocation failed the certificate re-check")
-    return CompositeResult(rate, choice, allocation, data.c)
-
-
 def check_rate_point(
     inst: IndexCodingInstance,
     choice: DecodingChoice,
@@ -434,10 +269,11 @@ def check_certificate(
 
 @dataclass(frozen=True)
 class _PriceData:
-    """Per-instance precomputation for weighted-objective sweeps.
+    """Per-instance precomputation for the exact sweep over every choice.
 
     Columns are [R_1..R_n | S_1..S_{2^n-1}]; the S column for mask p
-    sits at index n + p (index n itself is unused).
+    sits at index n + p (index n itself is unused).  Each block lists
+    its decoding rows by ascending J mask.
     """
 
     n: int
@@ -492,7 +328,7 @@ def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None) -> _Pric
 
 def _price_range(
     data: _PriceData,
-    wnum: np.ndarray,
+    wnum: np.ndarray | None,
     wden: int,
     start: int,
     stop: int,
@@ -500,11 +336,17 @@ def _price_range(
 ) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
     """Scan choice indices [start, stop) maximizing the weighted rate sum.
 
-    The weight of message i is wnum[i-1]/wden.  Returns up to `keep`
-    entries (value in bits, choice index, rate vector in bits, S values
-    by mask), best value first, duplicate rate vectors dropped.
+    The weight of message i is wnum[i-1]/wden.  wnum None maximizes the
+    symmetric rate instead: the n rate columns are summed into one
+    column R, the value is R and the rate vector (R,)*n.  Returns up to
+    `keep` entries (value in bits, choice index, rate vector in bits,
+    S values by mask), best value first, duplicate rate vectors dropped.
     """
     n = data.n
+    symmetric = wnum is None
+    k = 1 if symmetric else n           # rate columns of the solved LP
+    # The symmetric LP needs fewer pivots with rows by descending J mask.
+    order = -1 if symmetric else 1
     counts = [len(o) for o in data.options]
     nu = len(counts)
     ndecomp = data.decomp.shape[0]
@@ -518,32 +360,41 @@ def _price_range(
         usedbits = 0
         for j in range(nu):
             usedbits |= data.used[j][opt[j]]
-        cols = list(range(n)) + [n + p for p in range(1, 1 << n) if usedbits >> p & 1]
-        parts = [data.decomp] + [data.blocks[j][opt[j]] for j in range(nu)]
-        A = np.concatenate(parts, axis=0)[:, cols]
+        cols = list(range(k)) + [n + p for p in range(1, 1 << n) if usedbits >> p & 1]
+        parts = [data.decomp] + [data.blocks[j][opt[j]][::order] for j in range(nu)]
+        A = np.concatenate(parts, axis=0)
+        if symmetric:
+            A = np.concatenate((A[:, :n].sum(axis=1, keepdims=True), A[:, cols[1:]]), axis=1)
+            obj: int | np.ndarray = 0
+        else:
+            A = A[:, cols]
+            obj = np.zeros(len(cols), dtype=wnum.dtype)
+            obj[:n] = wnum
         m = A.shape[0]
         rhs = np.zeros(m, dtype=np.int64)
         rhs[:ndecomp] = data.c
-        obj = np.zeros(len(cols), dtype=wnum.dtype)
-        obj[:n] = wnum
         status, tab, width = _solve_leq_arrays(A, rhs, obj)
         if status != OPTIMAL:
             raise AssertionError("composite LP is feasible and bounded by construction")
-        rates = [Fraction(0)] * n
+        rates = [Fraction(0)] * k
         for r in range(tab.nrows):
             jcol = tab.basis[r]
-            if jcol < n:
+            if jcol < k:
                 rates[jcol] = Fraction(int(tab.t[r, width]), int(tab.t[r, jcol]))
-        value = Fraction(sum(int(w) * rate for w, rate in zip(wnum, rates)), wden)
+        if symmetric:
+            value = rates[0]
+            point = (value,) * n
+        else:
+            value = Fraction(sum(int(w) * rate for w, rate in zip(wnum, rates)), wden)
+            point = tuple(rates)
         if len(cands) == keep and value <= cands[-1][0]:
             continue
-        point = tuple(rates)
         if any(point == c[2] for c in cands):
             continue
         alloc: dict[int, Fraction] = {}
         for r in range(tab.nrows):
             jcol = tab.basis[r]
-            if n <= jcol < len(cols):
+            if k <= jcol < len(cols):
                 v = Fraction(int(tab.t[r, width]), int(tab.t[r, jcol]))
                 if v:
                     alloc[cols[jcol] - n] = v
@@ -582,6 +433,62 @@ def _merge_candidates(
         if len(out) == keep:
             break
     return out
+
+
+def _sweep(
+    data: _PriceData,
+    wnum: np.ndarray | None,
+    wden: int,
+    total: int,
+    keep: int,
+    threads: int,
+) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
+    """_price_range over all `total` choices, split across forked workers."""
+    if threads > 1 and total > 1:
+        from multiprocessing import get_context
+
+        nchunks = min(threads, total)
+        bounds = [total * i // nchunks for i in range(nchunks + 1)]
+        args = [(data, wnum, wden, bounds[i], bounds[i + 1], keep) for i in range(nchunks)]
+        with get_context("fork").Pool(threads) as workers:
+            return _merge_candidates(workers.starmap(_price_range, args), keep)
+    return _price_range(data, wnum, wden, 0, total, keep)
+
+
+def _choice_at(data: _PriceData, idx: int) -> DecodingChoice:
+    counts = [len(o) for o in data.options]
+    sets = []
+    rem = idx
+    for j in range(len(counts) - 1, -1, -1):
+        sets.append(data.options[j][rem % counts[j]])
+        rem //= counts[j]
+    return DecodingChoice(tuple(reversed(sets)))
+
+
+def max_symmetric_rate(
+    inst: IndexCodingInstance,
+    per_user_cap: int | None = None,
+    max_choices: int = 1 << 24,
+    threads: int = 1,
+) -> CompositeResult:
+    """Best symmetric composite rate over every decoding choice.
+
+    Exact rational arithmetic throughout; the result carries the
+    maximizing choice (first in enumeration order on ties) and its
+    composite-rate allocation, and is re-checked against the constraint
+    system before being returned.  The rate is normalized per channel
+    bit.
+    """
+    _require_valid(inst)
+    data = _prepare_price(inst, per_user_cap)
+    total = _choice_count(data.options, max_choices)
+    [(best, idx, _, alloc)] = _sweep(data, None, 1, total, 1, threads)
+    choice = _choice_at(data, idx)
+    allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
+    rate = best / data.c
+    if not check_certificate(inst, choice, rate, allocation):
+        raise AssertionError("optimal allocation failed the certificate re-check")
+    return CompositeResult(rate, choice, allocation, data.c)
 
 
 @dataclass(frozen=True)
@@ -691,24 +598,10 @@ def time_shared_symmetric_rate(
     converged = False
     rounds = 0
 
-    def price_all(wnum: np.ndarray, wden: int) -> list:
-        if threads > 1 and total > 1:
-            from multiprocessing import get_context
-
-            nchunks = min(threads, total)
-            bounds = [total * i // nchunks for i in range(nchunks + 1)]
-            args = [
-                (data, wnum, wden, bounds[i], bounds[i + 1], points_per_round)
-                for i in range(nchunks)
-            ]
-            with get_context("fork").Pool(threads) as workers:
-                return _merge_candidates(workers.starmap(_price_range, args), points_per_round)
-        return _price_range(data, wnum, wden, 0, total, points_per_round)
-
     for rounds in range(1, max_rounds + 1):
         if pool:
             tau, weights = _hull_master([p.rates for p in pool], n)
-        cands = price_all(*_scaled_weights(weights))
+        cands = _sweep(data, *_scaled_weights(weights), total, points_per_round, threads)
         best_value = cands[0][0]
         upper = min(upper, best_value)
         if trace is not None:
@@ -785,7 +678,7 @@ def max_weighted_rate(
             "weight but no user demands them"
         )
 
-    [(value, idx, point, alloc)] = _price_range(data, *_scaled_weights(w), 0, total, keep=1)
+    [(value, idx, point, alloc)] = _sweep(data, *_scaled_weights(w), total, 1, 1)
     choice = _choice_at(data, idx)
     allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
     if not check_rate_point(inst, choice, point, allocation):

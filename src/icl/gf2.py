@@ -21,16 +21,6 @@ class Gf2Matrix:
             if row < 0 or row >= limit:
                 raise ValueError(f"row {r} has bits outside {self.cols} columns")
 
-    @staticmethod
-    def from_dense(rows: Iterable[Iterable[int]], cols: int | None = None) -> "Gf2Matrix":
-        packed = []
-        width = 0
-        for row in rows:
-            bits = list(row)
-            width = max(width, len(bits))
-            packed.append(sum((b & 1) << j for j, b in enumerate(bits)))
-        return Gf2Matrix(tuple(packed), width if cols is None else cols)
-
 
 def rank_of(rows: Iterable[int]) -> int:
     """Rank of packed rows; elimination pivots on each row's lowest set bit."""

@@ -60,9 +60,6 @@ class SideInfoGraph:
     edges: frozenset[tuple[int, int]]
     channel_bits: int = 1
 
-    def successors(self, v: int) -> frozenset[int]:
-        return frozenset(j for (i, j) in self.edges if i == v)
-
 
 def validate_instance(inst: IndexCodingInstance) -> list[str]:
     """Return all invariant violations of inst, empty when well formed."""

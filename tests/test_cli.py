@@ -69,6 +69,33 @@ def test_composite_rate_weighted(capsys):
     assert "R_2 = 0/1 (0.000000)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("--instance", "no-side-info(3)"),
+            "rate 1/3 (0.333333)  [per channel bit, time-shared]\n"
+            "upper bound 1/3 (0.333333)  converged True  rounds 4  mixture size 3\n",
+        ),
+        (
+            ("--instance", "no-side-info(3)", "--pure"),
+            "rate 1/3 (0.333333)  [per channel bit]\n"
+            "choice: {1}, {1,2}, {1,2,3}\n",
+        ),
+        (
+            ("--instance", "example1", "--cap", "1", "--pure"),
+            "rate 4/15 (0.266667)  [per channel bit]\n"
+            "choice: {1}, {2}, {1,3}, {4,5}, {2,5}, {6}\n",
+        ),
+    ],
+    ids=["hull", "pure", "example1-cap1-pure"],
+)
+def test_composite_rate_stdout_is_pinned(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, "composite-rate", *argv)
+    assert code == 0
+    assert out == f"instance: builtin {argv[1]}\n" + expected
+
+
 def test_composite_rate_weight_count_mismatch(capsys):
     code, _, err = run_cli(
         capsys, "composite-rate", "--instance", "xor2", "--weights", "1,2,3"

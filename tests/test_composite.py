@@ -237,6 +237,22 @@ def test_weighted_sweep_matches_generic_lp(case):
     )
 
 
+@given(_weighted_cases())
+def test_symmetric_sweep_matches_generic_lp(case):
+    inst, cap, _ = case
+    res = max_symmetric_rate(inst, per_user_cap=cap)
+    # Without weights the generic loop solves the symmetric LP, in bits.
+    rate, choice = _weighted_by_generic_lp(inst, None, cap)
+    assert (res.symmetric_rate, res.best_choice) == (rate / inst.channel_bits, choice)
+    assert check_certificate(inst, res.best_choice, res.symmetric_rate, res.allocation)
+
+
+def test_threads_match_serial():
+    inst = builtin_instance("no-side-info(3)")
+    assert max_symmetric_rate(inst, threads=2) == max_symmetric_rate(inst)
+    assert time_shared_symmetric_rate(inst, threads=2) == time_shared_symmetric_rate(inst)
+
+
 def test_time_sharing_trivial_instances():
     hull = time_shared_symmetric_rate(builtin_instance("xor2"))
     assert hull.converged
