@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .instance import IndexCodingInstance, validate_instance
-from .lp import _INT64_SAFE, OPTIMAL, Constraint, LinearProgram, _solve_leq_arrays, solve_lp
+from .lp import OPTIMAL, Constraint, LinearProgram, _int_array, _simplex, solve_lp
 
 # Composite variables grow as 2^N; past this many messages neither the
 # LP columns nor the choice enumeration are tractable.
@@ -345,6 +345,8 @@ def _price_range(
     n = data.n
     symmetric = wnum is None
     k = 1 if symmetric else n           # rate columns of the solved LP
+    wvec = _int_array([1]) if symmetric else wnum
+    c = _int_array([data.c])
     # The symmetric LP needs fewer pivots with rows by descending J mask.
     order = -1 if symmetric else 1
     counts = [len(o) for o in data.options]
@@ -365,15 +367,13 @@ def _price_range(
         A = np.concatenate(parts, axis=0)
         if symmetric:
             A = np.concatenate((A[:, :n].sum(axis=1, keepdims=True), A[:, cols[1:]]), axis=1)
-            obj: int | np.ndarray = 0
         else:
             A = A[:, cols]
-            obj = np.zeros(len(cols), dtype=wnum.dtype)
-            obj[:n] = wnum
-        m = A.shape[0]
-        rhs = np.zeros(m, dtype=np.int64)
-        rhs[:ndecomp] = data.c
-        status, tab, width = _solve_leq_arrays(A, rhs, obj)
+        obj = np.zeros(len(cols), dtype=wvec.dtype)
+        obj[:k] = wvec
+        rhs = np.zeros(A.shape[0], dtype=c.dtype)
+        rhs[:ndecomp] = c
+        status, tab, width = _simplex(A, rhs, obj)
         if status != OPTIMAL:
             raise AssertionError("composite LP is feasible and bounded by construction")
         rates = [Fraction(0)] * k
@@ -407,15 +407,12 @@ def _price_range(
 def _scaled_weights(weights: Sequence[RationalLike]) -> tuple[np.ndarray, int]:
     """Clear denominators: (integer numerators, common denominator).
 
-    The numerators stay int64 while they fit the integer simplex's int64
-    range; past it they are Python integers (object dtype), and the
-    pricing LPs then run on object tableaus.
+    The numerators take the simplex's dtype rule (lp._int_array), so
+    large ones run the pricing LPs on object tableaus.
     """
     fracs = [Fraction(w) for w in weights]
     wden = math.lcm(*(w.denominator for w in fracs))
-    nums = [int(w * wden) for w in fracs]
-    small = all(abs(v) <= _INT64_SAFE for v in nums)
-    return np.array(nums, dtype=np.int64 if small else object), wden
+    return _int_array([int(w * wden) for w in fracs]), wden
 
 
 def _merge_candidates(
@@ -593,7 +590,7 @@ def time_shared_symmetric_rate(
     pool: list[HullPoint] = []
     pool_keys: set[tuple[Fraction, ...]] = set()
     tau = Fraction(-1)
-    weights = tuple(Fraction(1, n) for _ in range(n))
+    weights = upper_weights = tuple(Fraction(1, n) for _ in range(n))
     upper = Fraction(c)
     converged = False
     rounds = 0
@@ -603,7 +600,9 @@ def time_shared_symmetric_rate(
             tau, weights = _hull_master([p.rates for p in pool], n)
         cands = _sweep(data, *_scaled_weights(weights), total, points_per_round, threads)
         best_value = cands[0][0]
-        upper = min(upper, best_value)
+        if best_value <= upper:
+            # Report the weights that certify the bound, not the last ones.
+            upper, upper_weights = best_value, weights
         if trace is not None:
             trace(rounds, tau, best_value)
         if best_value <= tau:
@@ -637,7 +636,7 @@ def time_shared_symmetric_rate(
         upper_bound=upper / c,
         converged=converged,
         mixture=mixture,
-        weights=weights,
+        weights=upper_weights,
         channel_bits=c,
         rounds=rounds,
     )

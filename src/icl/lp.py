@@ -7,10 +7,14 @@ coefficients and the objective is maximized.
 Rows are stored as integer numerators.  Rescaling a row by a positive
 integer never changes the constraint it encodes, so a pivot is pure
 integer cross-multiplication (row*p - a*pivot_row) followed by a gcd
-normalization; nothing is ever rounded.  The tableau lives in an int64
-numpy array while entries fit; if a pivot could overflow, it is promoted
-to Python integers (object dtype) and the solve continues exactly.
-Anti-cycling uses Bland's rule.
+normalization; nothing is ever rounded.
+
+One rule picks the dtype, and this module alone applies it: _int_array
+stores exact integers as int64 while every entry is within _INT64_SAFE,
+and as Python integers (object dtype) otherwise.  _simplex, the one
+tableau builder, runs on object dtype as soon as any input is object;
+an int64 tableau whose next pivot could overflow is promoted to object
+dtype and the solve continues exactly.  Anti-cycling uses Bland's rule.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -109,20 +113,10 @@ class _Tableau:
         self.basis[r] = c
 
     def _normalize(self, t: np.ndarray) -> None:
-        if self.small:
-            g = np.gcd.reduce(np.abs(t), axis=1)
-            g[g == 0] = 1
-            if (g > 1).any():
-                t //= g[:, None]
-        else:
-            for r in range(t.shape[0]):
-                g = 0
-                for v in t[r]:
-                    g = math.gcd(g, abs(int(v)))
-                    if g == 1:
-                        break
-                if g > 1:
-                    t[r] //= g
+        g = np.gcd.reduce(t, axis=1, initial=0)     # gcd is sign-free
+        g[g == 0] = 1
+        if (g > 1).any():
+            t //= g[:, None]
 
     def run(self, objrow: int, width: int) -> str:
         """Primal simplex on objective row objrow.
@@ -167,96 +161,84 @@ class _Tableau:
         return Fraction(0)
 
 
+def _int_array(values) -> np.ndarray:
+    """Exact integers as an array: int64 while every entry is within
+    _INT64_SAFE, Python integers (object dtype) otherwise.
+
+    The dtype is never left to numpy, which would store [2**63, 1] as
+    float64 and [2**63] as uint64.
+    """
+    a = np.array(values, dtype=object)
+    if a.size and np.abs(a).max() > _INT64_SAFE:
+        return a
+    return a.astype(np.int64)
+
+
 def _simplex(
     A: np.ndarray,
-    rels: Sequence[str],
-    b: Sequence[int],
-    obj: Sequence[int],
-) -> tuple[str, list[Fraction]]:
-    """Two-phase primal simplex on integer data; x >= 0 implicit.
+    b: np.ndarray,
+    obj: np.ndarray,
+    eq: np.ndarray | None = None,
+) -> tuple[str, _Tableau, int]:
+    """Maximize obj . x subject to A x (<= or =) b, x >= 0.
 
-    A is an m x n integer matrix (int64 or object), b and obj integer
-    vectors.  Returns (status, values of the n structural variables).
+    A is an m x n integer matrix, b and obj integer vectors, and eq an
+    optional boolean mask of the rows that are equalities.  Each is int64
+    or object, as _int_array makes them; the tableau is object as soon as
+    one of them is, and int64 otherwise.  Columns are the n structural
+    variables, one slack per "<=" row, then one artificial per row that
+    needs one, then the right-hand side.  With every row "<=" and b >= 0
+    the slack basis is feasible and only phase 2 runs; otherwise rows
+    with b < 0 are negated and phase 1 drives the artificials out first.
+    Returns the status, the final tableau (value_of reads a structural
+    variable) and the column index of the right-hand side.
     """
-    m = len(rels)
-    n = len(obj)
+    m, n = A.shape
+    dtype = object if object in (A.dtype, b.dtype, obj.dtype) else np.int64
+    if eq is None and b.min(initial=0) >= 0:
+        t = np.zeros((m + 1, n + m + 1), dtype=dtype)
+        t[:m, :n] = A
+        t[np.arange(m), n + np.arange(m)] = 1
+        t[:m, -1] = b
+        t[m, :n] = obj
+        tab = _Tableau(t, list(range(n, n + m)), m)
+        return tab.run(m, n + m), tab, n + m
 
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    slack_sign: list[int] = []
-    need_art: list[bool] = []
-    for r in range(m):
-        row = [int(v) for v in A[r]]
-        beta = int(b[r])
-        if beta < 0:
-            row = [-v for v in row]
-            beta = -beta
-            flipped = True
-        else:
-            flipped = False
-        rows.append(row)
-        rhs.append(beta)
-        if rels[r] == "<=":
-            slack_sign.append(-1 if flipped else 1)
-            need_art.append(flipped)
-        else:
-            slack_sign.append(0)
-            need_art.append(True)
-
-    n_slack = sum(1 for s in slack_sign if s)
-    n_art = sum(need_art)
-    two_phase = n_art > 0
-    ncols = n + n_slack + n_art
-
-    big = max(
-        [1]
-        + [abs(v) for row in rows for v in row]
-        + [abs(v) for v in rhs]
-        + [abs(v) for v in obj]
-    )
-    dtype = np.int64 if big <= _INT64_SAFE else object
-    t = np.zeros((m + (2 if two_phase else 1), ncols + 1), dtype=dtype)
-
-    basis: list[int] = []
-    si, ai = n, n + n_slack
-    for r in range(m):
-        for j, v in enumerate(rows[r]):
-            t[r, j] = v
-        if slack_sign[r]:
-            t[r, si] = slack_sign[r]
-        if need_art[r]:
-            t[r, ai] = 1
-            basis.append(ai)
-            ai += 1
-        else:
-            basis.append(si)
-        if slack_sign[r]:
-            si += 1
-        t[r, ncols] = rhs[r]
-
+    if eq is None:
+        eq = np.zeros(m, dtype=bool)
+    flip = b < 0
+    slack = np.flatnonzero(~eq)
+    art = np.flatnonzero(eq | flip)
+    n_slack = len(slack)
+    ncols = n + n_slack + len(art)
+    scol = n + np.arange(n_slack)
+    acol = n + n_slack + np.arange(len(art))
+    sign = np.where(flip, -1, 1)
+    t = np.zeros((m + (2 if len(art) else 1), ncols + 1), dtype=dtype)
+    t[:m, :n] = A * sign[:, None]
+    t[slack, scol] = sign[slack]
+    t[art, acol] = 1
+    t[:m, ncols] = b * sign
+    t[m, :n] = obj
+    basis = np.zeros(m, dtype=np.intp)
+    basis[slack] = scol
+    basis[art] = acol
+    tab = _Tableau(t, basis.tolist(), m)
     OBJ = m
-    for j, v in enumerate(obj):
-        t[OBJ, j] = v
 
-    tab = _Tableau(t, basis, m)
-
-    if two_phase:
+    if len(art):
         # Phase-1 objective: maximize minus the artificial sum.  Folding
         # in the artificial rows zeroes the reduced cost of every basic
         # column.
         W = m + 1
-        for r in range(m):
-            if need_art[r]:
-                t[W] += t[r]
-        for r in range(m):
-            if need_art[r]:
-                t[W, tab.basis[r]] = 0
+        t[W] = t[art].sum(axis=0)
+        t[W, acol] = 0
         if tab.run(W, ncols) != OPTIMAL:
             raise AssertionError("phase 1 objective is bounded by construction")
         t = tab.t
         for r in range(m):
             if tab.basis[r] >= n + n_slack and t[r, ncols] != 0:
-                return INFEASIBLE, []
+                return INFEASIBLE, tab, ncols
         # Drive zero-valued artificials out of the basis; a row offering
         # no pivot column is redundant and dropped.
         drop: list[int] = []
@@ -282,42 +264,14 @@ def _simplex(
         ncols = n + n_slack
         OBJ = m
 
-    status = tab.run(OBJ, ncols)
-    if status != OPTIMAL:
-        return status, []
-    return OPTIMAL, [tab.value_of(j, ncols) for j in range(n)]
+    return tab.run(OBJ, ncols), tab, ncols
 
 
-def _solve_leq_arrays(
-    A: np.ndarray, rhs: np.ndarray, obj: int | np.ndarray
-) -> tuple[str, _Tableau, int]:
-    """Fast entry: maximize obj . x subject to A x <= rhs, x >= 0.
+def _scaled_int_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clear denominators row by row: integer matrix, rhs, objective.
 
-    obj is either a column index (maximize that variable) or an integer
-    coefficient vector over the structural variables.  Requires integer A
-    with moderate entries and rhs >= 0, so the slack basis is feasible
-    and no phase 1 is needed.  An object-dtype obj (Python integers past
-    the int64 range) puts the whole tableau on object dtype.  Returns the
-    status, the final tableau, and the column index of the right-hand
-    side.
+    All three hold Python integers (object dtype).
     """
-    m, n = A.shape
-    big = isinstance(obj, np.ndarray) and obj.dtype == object
-    t = np.zeros((m + 1, n + m + 1), dtype=object if big else np.int64)
-    t[:m, :n] = A
-    t[np.arange(m), n + np.arange(m)] = 1
-    t[:m, -1] = rhs
-    if isinstance(obj, np.ndarray):
-        t[m, :n] = obj
-    else:
-        t[m, obj] = 1
-    tab = _Tableau(t, list(range(n, n + m)), m)
-    status = tab.run(m, n + m)
-    return status, tab, n + m
-
-
-def _scaled_int_rows(lp: LinearProgram) -> tuple[np.ndarray, list[int], list[int]]:
-    """Clear denominators row by row: integer matrix, rhs, objective."""
     index = {name: i for i, name in enumerate(lp.variables)}
     n = len(lp.variables)
     rows = np.zeros((len(lp.constraints), n), dtype=object)
@@ -332,7 +286,7 @@ def _scaled_int_rows(lp: LinearProgram) -> tuple[np.ndarray, list[int], list[int
     obj_frac = [Fraction(lp.objective.get(v, 0)) for v in lp.variables]
     oscale = math.lcm(*(f.denominator for f in obj_frac)) if obj_frac else 1
     obj = [int(f * oscale) for f in obj_frac]
-    return rows, rhs, obj
+    return rows, np.array(rhs, dtype=object), np.array(obj, dtype=object)
 
 
 def solve_lp(lp: LinearProgram, verify: bool = True) -> LpSolution:
@@ -355,48 +309,40 @@ def solve_lp(lp: LinearProgram, verify: bool = True) -> LpSolution:
         raise ValueError(f"objective uses undeclared variables {sorted(bad)}")
 
     rows, rhs, obj = _scaled_int_rows(lp)
-    rels = [con.relation for con in lp.constraints]
-    n = len(lp.variables)
+    eq = np.array([con.relation == "=" for con in lp.constraints], dtype=bool)
 
     # Presolve: a variable with no objective incentive, no equality-row
     # appearance, and no negative "<="-row coefficient can sit at zero
     # without shrinking the optimum or breaking feasibility.
-    keep: list[int] = []
-    for j in range(n):
-        helpful = obj[j] > 0
-        if not helpful:
-            for r in range(len(rels)):
-                v = rows[r, j]
-                if v and (rels[r] == "=" or v < 0):
-                    helpful = True
-                    break
-        if helpful:
-            keep.append(j)
+    helpful = (obj > 0) | ((rows != 0) & (eq[:, None] | (rows < 0))).any(axis=0)
+    keep = np.nonzero(helpful)[0]
     sub = rows[:, keep]
 
     # Drop trivial rows (checking their feasibility) and duplicates.
     seen: set[tuple] = set()
     use: list[int] = []
-    for r in range(len(rels)):
+    for r in range(len(eq)):
         row = sub[r]
         if not any(row):
-            if (rels[r] == "=" and rhs[r] != 0) or (rels[r] == "<=" and rhs[r] < 0):
+            if (eq[r] and rhs[r] != 0) or rhs[r] < 0:
                 return LpSolution(INFEASIBLE, None, {})
             continue
         g = math.gcd(abs(rhs[r]), *(abs(int(v)) for v in row))
-        key = (rels[r], rhs[r] // g) + tuple(int(v) // g for v in row)
+        key = (bool(eq[r]), rhs[r] // g) + tuple(int(v) // g for v in row)
         if key in seen:
             continue
         seen.add(key)
         use.append(r)
 
-    status, values = _simplex(sub[use], [rels[r] for r in use], [rhs[r] for r in use], [obj[j] for j in keep])
+    status, tab, width = _simplex(
+        _int_array(sub[use]), _int_array(rhs[use]), _int_array(obj[keep]), eq[use]
+    )
     if status != OPTIMAL:
         return LpSolution(status, None, {})
 
     assignment = {v: Fraction(0) for v in lp.variables}
-    for j, val in zip(keep, values):
-        assignment[lp.variables[j]] = val
+    for j, var in enumerate(keep):
+        assignment[lp.variables[var]] = tab.value_of(j, width)
     optimum = sum((Fraction(c) * assignment[v] for v, c in lp.objective.items()), Fraction(0))
 
     if verify:

@@ -281,3 +281,30 @@ def test_mixture_points_are_achievable():
             point.rates,
             point.allocation,
         )
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3])
+def test_hull_round_limit_reports_valid_bounds(max_rounds):
+    inst = builtin_instance("no-side-info(3)")
+    hull = time_shared_symmetric_rate(inst, max_rounds=max_rounds)
+    assert not hull.converged and hull.rounds == max_rounds
+    assert hull.symmetric_rate <= hull.upper_bound
+    for _, point in hull.mixture:
+        assert check_rate_point(inst, point.choice, point.rates, point.allocation)
+    # The reported weights certify the upper bound: re-pricing them gives it back.
+    priced = max_weighted_rate(inst, dict(enumerate(hull.weights, start=1)))
+    assert priced.value / inst.channel_bits == hull.upper_bound
+
+
+def test_channel_bits_past_int64():
+    inst = IndexCodingInstance(3, builtin_instance("no-side-info(3)").users, 2**70)
+    assert max_symmetric_rate(inst).symmetric_rate == Fraction(1, 3)
+    hull = time_shared_symmetric_rate(inst)
+    assert hull.converged and hull.symmetric_rate == hull.upper_bound == Fraction(1, 3)
+    assert max_weighted_rate(inst, {1: 1, 2: 1, 3: 1}).value == 2**70
+
+
+def test_weight_past_int64_stays_exact():
+    # numpy alone would store these numerators as float64.
+    res = max_weighted_rate(builtin_instance("no-side-info(3)"), {1: 2**63 + 1, 2: 1, 3: 1})
+    assert res.value == 2**63 + 1

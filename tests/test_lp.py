@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icl.lp import Constraint, LinearProgram, solve_lp
+from icl.lp import Constraint, LinearProgram, _scaled_int_rows, _simplex, solve_lp
 from icl.oracle import enumerate_lp_vertices, lp_optimum_by_enumeration
 
 
@@ -114,6 +114,33 @@ def test_agrees_with_vertex_enumeration(seed):
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.optimum == lp_optimum_by_enumeration(lp)
+
+
+@pytest.mark.parametrize("mode", ["<=", "=", ">="])
+@pytest.mark.parametrize("seed", range(10))
+def test_simplex_int64_and_object_agree(seed, mode):
+    # The same LP as int64 and as object arrays must pivot alike.  Making
+    # the first row an equality, or a "<=" row with b < 0, runs phase 1.
+    lp = _random_bounded_lp(np.random.default_rng(seed))
+    first = lp.constraints[0]
+    if mode == "=":
+        first = Constraint(first.coeffs, "=", first.rhs)
+    elif mode == ">=":
+        first = Constraint({v: -c for v, c in first.coeffs.items()}, "<=", -first.rhs - 1)
+    lp = LinearProgram(lp.variables, lp.objective, (first,) + lp.constraints[1:])
+    A, b, obj = _scaled_int_rows(lp)
+    eq = np.array([con.relation == "=" for con in lp.constraints]) if mode == "=" else None
+    runs = []
+    for dtype in (np.int64, object):
+        status, tab, width = _simplex(A.astype(dtype), b.astype(dtype), obj.astype(dtype), eq)
+        assert tab.t.dtype == dtype
+        runs.append((status, tab.basis, [tab.value_of(j, width) for j in range(len(obj))]))
+    assert runs[0] == runs[1]
+    status, _, values = runs[0]
+    best = lp_optimum_by_enumeration(lp)
+    assert status == ("infeasible" if best is None else "optimal")
+    if best is not None:
+        assert sum(c * x for c, x in zip(obj, values)) == best
 
 
 def test_vertices_include_feasible_corners():
