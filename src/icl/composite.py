@@ -273,7 +273,8 @@ class _PriceData:
 
     Columns are [R_1..R_n | S_1..S_{2^n-1}]; the S column for mask p
     sits at index n + p (index n itself is unused).  Each block lists
-    its decoding rows by ascending J mask.
+    its decoding rows by descending J mask, the order in which the
+    pricing and symmetric LPs take the fewest pivots.
     """
 
     n: int
@@ -309,7 +310,7 @@ def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None) -> _Pric
         for K in options[j]:
             kmask = _mask(K)
             akmask = amask | kmask
-            jmasks = sorted(_subsets_of(kmask))
+            jmasks = sorted(_subsets_of(kmask), reverse=True)
             block = np.zeros((len(jmasks), width), dtype=np.int64)
             blockused = 0
             for i, jmask in enumerate(jmasks):
@@ -347,8 +348,6 @@ def _price_range(
     k = 1 if symmetric else n           # rate columns of the solved LP
     wvec = _int_array([1]) if symmetric else wnum
     c = _int_array([data.c])
-    # The symmetric LP needs fewer pivots with rows by descending J mask.
-    order = -1 if symmetric else 1
     counts = [len(o) for o in data.options]
     nu = len(counts)
     ndecomp = data.decomp.shape[0]
@@ -363,7 +362,7 @@ def _price_range(
         for j in range(nu):
             usedbits |= data.used[j][opt[j]]
         cols = list(range(k)) + [n + p for p in range(1, 1 << n) if usedbits >> p & 1]
-        parts = [data.decomp] + [data.blocks[j][opt[j]][::order] for j in range(nu)]
+        parts = [data.decomp] + [data.blocks[j][opt[j]] for j in range(nu)]
         A = np.concatenate(parts, axis=0)
         if symmetric:
             A = np.concatenate((A[:, :n].sum(axis=1, keepdims=True), A[:, cols[1:]]), axis=1)
@@ -440,15 +439,20 @@ def _sweep(
     keep: int,
     threads: int,
 ) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
-    """_price_range over all `total` choices, split across forked workers."""
-    if threads > 1 and total > 1:
-        from multiprocessing import get_context
+    """_price_range over all `total` choices, split across forked workers.
 
-        nchunks = min(threads, total)
-        bounds = [total * i // nchunks for i in range(nchunks + 1)]
-        args = [(data, wnum, wden, bounds[i], bounds[i + 1], keep) for i in range(nchunks)]
-        with get_context("fork").Pool(threads) as workers:
-            return _merge_candidates(workers.starmap(_price_range, args), keep)
+    Where the platform cannot fork, the sweep runs serially; the merged
+    candidates equal the serial ones either way.
+    """
+    if threads > 1 and total > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            nchunks = min(threads, total)
+            bounds = [total * i // nchunks for i in range(nchunks + 1)]
+            args = [(data, wnum, wden, bounds[i], bounds[i + 1], keep) for i in range(nchunks)]
+            with multiprocessing.get_context("fork").Pool(threads) as workers:
+                return _merge_candidates(workers.starmap(_price_range, args), keep)
     return _price_range(data, wnum, wden, 0, total, keep)
 
 
@@ -504,7 +508,10 @@ class HullResult:
     symmetric_rate is certified by the mixture (time sharing weights
     over achievable points); upper_bound is certified by the separating
     message weights.  The two coincide exactly when converged is True.
-    Rates are per channel bit; HullPoint rates are in bits.
+    rounds is the number of pricing sweeps run: column generation stops
+    as soon as the pool value reaches the least sweep maximum, so the
+    sweep that proves the bound is often not the last round's.  Rates
+    are per channel bit; HullPoint rates are in bits.
     """
 
     symmetric_rate: Fraction
@@ -559,7 +566,7 @@ def time_shared_symmetric_rate(
     max_choices: int = 1 << 24,
     threads: int = 1,
     max_rounds: int = 64,
-    points_per_round: int = 12,
+    points_per_round: int = 64,
     trace=None,
 ) -> HullResult:
     """Symmetric rate of the convex hull of all per-choice rate regions.
@@ -571,15 +578,20 @@ def time_shared_symmetric_rate(
     exceed every single choice's symmetric rate.
 
     Exact column generation: a pool of achievable rate points grows one
-    pricing sweep at a time.  Each round solves a small exact LP for the
-    best separating message weights of the current pool, then sweeps
-    every decoding choice maximizing that weighted rate sum.  A sweep
-    whose maximum does not exceed the pool value proves optimality; the
-    returned mixture and weights are independently re-checkable, exact
-    certificates of both bounds.
+    pricing sweep at a time.  Each round sweeps every decoding choice
+    maximizing the weighted rate sum under the current message weights
+    (uniform in round 1), adds up to points_per_round of the best new
+    points to the pool, and then solves a small exact LP for the pool
+    value tau and the pool's best separating weights, which the next
+    round prices.  Every sweep maximum bounds the hull's value from
+    above; upper is the least of them.  The run stops, converged, at
+    the end of the first round with tau >= upper.  The returned mixture
+    and weights (those of the sweep that set upper) are independently
+    re-checkable, exact certificates of both bounds.  rounds counts the
+    pricing sweeps run, at most max_rounds.
 
     trace, when given, is called after every pricing sweep with
-    (round, pool value, sweep maximum), all in bits.
+    (round, pool value before the sweep, sweep maximum), all in bits.
     """
     _require_valid(inst)
     data = _prepare_price(inst, per_user_cap)
@@ -596,8 +608,6 @@ def time_shared_symmetric_rate(
     rounds = 0
 
     for rounds in range(1, max_rounds + 1):
-        if pool:
-            tau, weights = _hull_master([p.rates for p in pool], n)
         cands = _sweep(data, *_scaled_weights(weights), total, points_per_round, threads)
         best_value = cands[0][0]
         if best_value <= upper:
@@ -605,18 +615,21 @@ def time_shared_symmetric_rate(
             upper, upper_weights = best_value, weights
         if trace is not None:
             trace(rounds, tau, best_value)
-        if best_value <= tau:
+        if best_value > tau:
+            added = False
+            for value, idx, rates, alloc in cands:
+                if value > tau and rates not in pool_keys:
+                    allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
+                    pool.append(HullPoint(rates, _choice_at(data, idx), allocation))
+                    pool_keys.add(rates)
+                    added = True
+            if not added:
+                raise AssertionError("an improving point must be new to the pool")
+            tau, weights = _hull_master([p.rates for p in pool], n)
+        if tau >= upper:
+            # The weights of the sweep that set upper already prove tau optimal.
             converged = True
             break
-        added = False
-        for value, idx, rates, alloc in cands:
-            if value > tau and rates not in pool_keys:
-                allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
-                pool.append(HullPoint(rates, _choice_at(data, idx), allocation))
-                pool_keys.add(rates)
-                added = True
-        if not added:
-            raise AssertionError("an improving point must be new to the pool")
 
     value, mixture_weights = _hull_mixture([p.rates for p in pool], n)
     mixture = tuple((mu, pt) for mu, pt in zip(mixture_weights, pool) if mu)

@@ -75,7 +75,12 @@ def test_composite_rate_weighted(capsys):
         (
             ("--instance", "no-side-info(3)"),
             "rate 1/3 (0.333333)  [per channel bit, time-shared]\n"
-            "upper bound 1/3 (0.333333)  converged True  rounds 4  mixture size 3\n",
+            "upper bound 1/3 (0.333333)  converged True  rounds 1  mixture size 3\n",
+        ),
+        (
+            ("--instance", "example1", "--cap", "1"),
+            "rate 2/7 (0.285714)  [per channel bit, time-shared]\n"
+            "upper bound 2/7 (0.285714)  converged True  rounds 2  mixture size 3\n",
         ),
         (
             ("--instance", "no-side-info(3)", "--pure"),
@@ -88,7 +93,7 @@ def test_composite_rate_weighted(capsys):
             "choice: {1}, {2}, {1,3}, {4,5}, {2,5}, {6}\n",
         ),
     ],
-    ids=["hull", "pure", "example1-cap1-pure"],
+    ids=["hull", "example1-cap1", "pure", "example1-cap1-pure"],
 )
 def test_composite_rate_stdout_is_pinned(capsys, argv, expected):
     code, out, _ = run_cli(capsys, "composite-rate", *argv)

@@ -21,7 +21,7 @@ from icl.composite import (
     time_shared_symmetric_rate,
 )
 from icl.instance import IndexCodingInstance, UserSpec, builtin_instance, validate_instance
-from icl.lp import OPTIMAL, solve_lp
+from icl.lp import OPTIMAL, Constraint, LinearProgram, solve_lp
 
 
 EX1 = builtin_instance("example1")
@@ -283,9 +283,16 @@ def test_mixture_points_are_achievable():
         )
 
 
+# User 1 knows both other messages, users 2 and 3 know message 1.  The
+# hull reaches 1/2 only on its fourth pricing sweep.
+FOUR_SWEEPS = IndexCodingInstance(
+    3, (UserSpec.of({1}, {2, 3}), UserSpec.of({2}, {1}), UserSpec.of({3}, {1}))
+)
+
+
 @pytest.mark.parametrize("max_rounds", [1, 2, 3])
 def test_hull_round_limit_reports_valid_bounds(max_rounds):
-    inst = builtin_instance("no-side-info(3)")
+    inst = FOUR_SWEEPS
     hull = time_shared_symmetric_rate(inst, max_rounds=max_rounds)
     assert not hull.converged and hull.rounds == max_rounds
     assert hull.symmetric_rate <= hull.upper_bound
@@ -308,3 +315,95 @@ def test_weight_past_int64_stays_exact():
     # numpy alone would store these numerators as float64.
     res = max_weighted_rate(builtin_instance("no-side-info(3)"), {1: 2**63 + 1, 2: 1, 3: 1})
     assert res.value == 2**63 + 1
+
+
+def test_hull_stops_once_the_pool_meets_the_bound():
+    assert time_shared_symmetric_rate(FOUR_SWEEPS).rounds == 4
+    # One sweep proves 1/3; the pool it adds already reaches it.
+    hull = time_shared_symmetric_rate(builtin_instance("no-side-info(3)"), max_rounds=1)
+    assert hull.converged and hull.rounds == 1
+    assert hull.symmetric_rate == hull.upper_bound == Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "inst, cap", [(FOUR_SWEEPS, None), (EX1, 1)], ids=["four-sweeps", "example1-cap1"]
+)
+def test_hull_threads_match_serial(inst, cap):
+    assert time_shared_symmetric_rate(inst, cap, threads=2) == time_shared_symmetric_rate(inst, cap)
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch):
+    import multiprocessing
+
+    serial = time_shared_symmetric_rate(FOUR_SWEEPS)
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("no start method may be requested")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    assert time_shared_symmetric_rate(FOUR_SWEEPS, threads=2) == serial
+    assert max_symmetric_rate(FOUR_SWEEPS, threads=2).symmetric_rate == Fraction(1, 2)
+
+
+def _hull_by_disjunctive_lp(inst, cap):
+    """Reference: the hull's symmetric value in bits as one disjunctive LP.
+
+    Balas's formulation of the convex hull of a union of polyhedra: every
+    decoding choice k gets its own copy x^k of the rate LP's variables,
+    with right-hand sides scaled by a time share lambda_k >= 0, and the
+    shares sum to one.  The symmetric value t is at most every message's
+    total rate sum_k R_i^k.
+    """
+    variables = ["t"]
+    cons = []
+    shares = {}
+    totals = {i: {"t": 1} for i in inst.message_ids()}
+    for k, choice in enumerate(enumerate_decoding_choices(inst, cap)):
+        lp = build_composite_lp(inst, choice, weights={1: 1})
+        share = f"lambda{k}"
+        copy = {v: f"{v}#{k}" for v in lp.variables}
+        variables += [share, *copy.values()]
+        shares[share] = 1
+        for con in lp.constraints:
+            coeffs = {copy[v]: a for v, a in con.coeffs.items()}
+            if con.rhs:
+                coeffs[share] = -con.rhs
+            cons.append(Constraint(coeffs, con.relation, 0))
+        for i in inst.message_ids():
+            totals[i][copy[f"R_{i}"]] = -1
+    cons.append(Constraint(shares, "=", 1))
+    cons += [Constraint(coeffs, "<=", 0) for coeffs in totals.values()]
+    sol = solve_lp(LinearProgram(tuple(variables), {"t": 1}, tuple(cons)))
+    assert sol.status == OPTIMAL
+    return sol.optimum
+
+
+@st.composite
+def _hull_cases(draw):
+    """A valid instance on at most 3 messages, every one demanded, and a cap."""
+    n = draw(st.integers(2, 3))
+    users = []
+    for _ in range(draw(st.integers(2, 4))):
+        roles = draw(st.lists(st.sampled_from("-dk"), min_size=n, max_size=n))
+        demands = {draw(st.integers(1, n))} | {i for i in range(1, n + 1) if roles[i - 1] == "d"}
+        knows = {i for i in range(1, n + 1) if roles[i - 1] == "k"} - demands
+        users.append(UserSpec.of(demands, knows))
+    inst = IndexCodingInstance(n, tuple(users), draw(st.integers(1, 3)))
+    assume(not validate_instance(inst))
+    assume(set().union(*(u.demands for u in users)) == set(inst.message_ids()))
+    cap = draw(st.sampled_from([None, 1]))
+    assume(sum(1 for _ in enumerate_decoding_choices(inst, cap)) <= 16)
+    return inst, cap
+
+
+@given(_hull_cases())
+def test_hull_matches_disjunctive_lp(case):
+    inst, cap = case
+    hull = time_shared_symmetric_rate(inst, cap)
+    assert hull.converged
+    oracle = _hull_by_disjunctive_lp(inst, cap) / inst.channel_bits
+    assert hull.symmetric_rate == hull.upper_bound == oracle
+    # The returned weights certify the bound: re-pricing them gives it back.
+    priced = max_weighted_rate(inst, dict(enumerate(hull.weights, start=1)), per_user_cap=cap)
+    assert priced.value / inst.channel_bits == hull.upper_bound
