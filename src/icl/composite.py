@@ -33,11 +33,16 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .instance import IndexCodingInstance, validate_instance
-from .lp import OPTIMAL, Constraint, LinearProgram, _int_array, _simplex, solve_lp
+from .lp import OPTIMAL, Constraint, LinearProgram, _int_array, _simplex
+from .lp import solve_lp  # noqa: F401  unused; perfbench/tracing.py wraps icl.composite.solve_lp
 
 # Composite variables grow as 2^N; past this many messages neither the
 # LP columns nor the choice enumeration are tractable.
 _MAX_MESSAGES = 16
+
+# Most new points the hull's pool takes per pricing sweep.  More did not
+# cut sweeps further: 200 per round gave the same counts.
+_POINTS_PER_ROUND = 64
 
 RationalLike = Fraction | int
 
@@ -110,7 +115,10 @@ def decoding_options(inst: IndexCodingInstance, user: int, per_user_cap: int | N
 
     A decoding set is D_j plus any subset of the messages outside
     A_j | D_j; per_user_cap bounds how many extra messages are added.
+    Raises ValueError when per_user_cap is negative.
     """
+    if per_user_cap is not None and per_user_cap < 0:
+        raise ValueError(f"per_user_cap must be >= 0, got {per_user_cap}")
     spec = inst.users[user]
     free = sorted(set(inst.message_ids()) - spec.demands - spec.knows)
     cap = len(free) if per_user_cap is None else min(per_user_cap, len(free))
@@ -120,6 +128,15 @@ def decoding_options(inst: IndexCodingInstance, user: int, per_user_cap: int | N
             options.append(frozenset(spec.demands | set(extra)))
     options.sort(key=lambda s: tuple(sorted(s)))
     return options
+
+
+def _option_indices(counts: Sequence[int], idx: int) -> list[int]:
+    """Per-user option indices of choice idx, in enumerate_decoding_choices
+    order: mixed radix with the last user's option varying fastest."""
+    opt = [0] * len(counts)
+    for j in range(len(counts) - 1, -1, -1):
+        idx, opt[j] = divmod(idx, counts[j])
+    return opt
 
 
 def _choice_count(per_user: Sequence[Sequence[frozenset[int]]], max_choices: int) -> int:
@@ -353,11 +370,7 @@ def _price_range(
     ndecomp = data.decomp.shape[0]
     cands: list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]] = []
     for idx in range(start, stop):
-        rem = idx
-        opt = [0] * nu
-        for j in range(nu - 1, -1, -1):
-            opt[j] = rem % counts[j]
-            rem //= counts[j]
+        opt = _option_indices(counts, idx)
         usedbits = 0
         for j in range(nu):
             usedbits |= data.used[j][opt[j]]
@@ -457,13 +470,8 @@ def _sweep(
 
 
 def _choice_at(data: _PriceData, idx: int) -> DecodingChoice:
-    counts = [len(o) for o in data.options]
-    sets = []
-    rem = idx
-    for j in range(len(counts) - 1, -1, -1):
-        sets.append(data.options[j][rem % counts[j]])
-        rem //= counts[j]
-    return DecodingChoice(tuple(reversed(sets)))
+    opt = _option_indices([len(o) for o in data.options], idx)
+    return DecodingChoice(tuple(options[o] for options, o in zip(data.options, opt)))
 
 
 def max_symmetric_rate(
@@ -506,8 +514,8 @@ class HullResult:
     """Symmetric rate of the convex hull of the per-choice regions.
 
     symmetric_rate is certified by the mixture (time sharing weights
-    over achievable points); upper_bound is certified by the separating
-    message weights.  The two coincide exactly when converged is True.
+    over achievable points, from the last master LP's duals); upper_bound
+    is certified by the separating message weights.  The two coincide exactly when converged is True.
     rounds is the number of pricing sweeps run: column generation stops
     as soon as the pool value reaches the least sweep maximum, so the
     sweep that proves the bound is often not the last round's.  Rates
@@ -523,41 +531,38 @@ class HullResult:
     rounds: int
 
 
-def _hull_master(points: Sequence[tuple[Fraction, ...]], n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Best separating weights for the current point pool.
+def _hull_master(
+    points: Sequence[tuple[Fraction, ...]], n: int
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Master LP of the point pool; returns (tau, w, mixture).
 
     Solves min tau s.t. tau >= w . v for every pool point v, w in the
-    simplex; returns (tau, w).  tau bounds from above the symmetric
-    value achievable by mixing the pool, and by LP duality equals it.
+    simplex (re-checked): row 0 is sum w = 1, row 1 + s is -tau + w . v_s
+    <= 0 scaled by the lcm of v_s's denominators.  tau is the best
+    symmetric value of a mixture of the pool, and w the pool's best
+    separating weights.  The mixture is the master's dual: the prices of
+    the point rows, normalized to sum to one, which by complementary
+    slackness reach tau while tau > 0.  Every price is zero only when
+    tau = 0; then the first pool point alone is returned.
     """
-    names = tuple(f"w{i}" for i in range(1, n + 1))
-    cons = [Constraint({nm: 1 for nm in names}, "=", 1)]
-    for v in points:
-        coeffs: dict[str, RationalLike] = {"tau": -1}
-        for i, vi in enumerate(v):
-            if vi:
-                coeffs[names[i]] = vi
-        cons.append(Constraint(coeffs, "<=", 0))
-    sol = solve_lp(LinearProgram(("tau",) + names, {"tau": -1}, tuple(cons)))
-    if sol.status != OPTIMAL:
+    scales = [math.lcm(*(x.denominator for x in v)) for v in points]
+    rows = [[0] + [1] * n] + [[-s] + [int(x * s) for x in v] for v, s in zip(points, scales)]
+    eq = np.zeros(len(rows), dtype=bool)
+    eq[0] = True
+    status, tab, width = _simplex(
+        _int_array(rows), _int_array([1] + [0] * len(points)), _int_array([-1] + [0] * n), eq
+    )
+    if status != OPTIMAL:
         raise AssertionError("weight-finding LP is feasible and bounded by construction")
-    return sol.assignment["tau"], tuple(sol.assignment[nm] for nm in names)
-
-
-def _hull_mixture(points: Sequence[tuple[Fraction, ...]], n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Best symmetric value from mixing the pool; returns (value, mixture)."""
-    names = tuple(f"m{s}" for s in range(len(points)))
-    cons = [Constraint({nm: 1 for nm in names}, "=", 1)]
-    for i in range(n):
-        coeffs: dict[str, RationalLike] = {"r": 1}
-        for s, v in enumerate(points):
-            if v[i]:
-                coeffs[names[s]] = -v[i]
-        cons.append(Constraint(coeffs, "<=", 0))
-    sol = solve_lp(LinearProgram(("r",) + names, {"r": 1}, tuple(cons)))
-    if sol.status != OPTIMAL:
-        raise AssertionError("mixture LP is feasible and bounded by construction")
-    return sol.assignment["r"], tuple(sol.assignment[nm] for nm in names)
+    tau = tab.value_of(0, width)
+    weights = tuple(tab.value_of(1 + i, width) for i in range(n))
+    if min(weights) < 0 or sum(weights) != 1:
+        raise AssertionError("master weights must lie in the simplex")
+    prices = [p * s for p, s in zip(tab.prices(), scales)]
+    total = sum(prices)
+    if not total:
+        prices, total = [1] + [0] * (len(points) - 1), 1
+    return tau, weights, tuple(Fraction(p, total) for p in prices)
 
 
 def time_shared_symmetric_rate(
@@ -566,7 +571,6 @@ def time_shared_symmetric_rate(
     max_choices: int = 1 << 24,
     threads: int = 1,
     max_rounds: int = 64,
-    points_per_round: int = 64,
     trace=None,
 ) -> HullResult:
     """Symmetric rate of the convex hull of all per-choice rate regions.
@@ -580,19 +584,22 @@ def time_shared_symmetric_rate(
     Exact column generation: a pool of achievable rate points grows one
     pricing sweep at a time.  Each round sweeps every decoding choice
     maximizing the weighted rate sum under the current message weights
-    (uniform in round 1), adds up to points_per_round of the best new
-    points to the pool, and then solves a small exact LP for the pool
-    value tau and the pool's best separating weights, which the next
-    round prices.  Every sweep maximum bounds the hull's value from
-    above; upper is the least of them.  The run stops, converged, at
-    the end of the first round with tau >= upper.  The returned mixture
-    and weights (those of the sweep that set upper) are independently
-    re-checkable, exact certificates of both bounds.  rounds counts the
-    pricing sweeps run, at most max_rounds.
+    (uniform in round 1), adds up to _POINTS_PER_ROUND of the best new
+    points to the pool, and then solves one exact master LP for the pool
+    value tau and separating weights, which the next round prices; the
+    mixture that reaches tau comes from the master's duals.  Every sweep
+    maximum bounds the hull's value from above; upper is the least of
+    them.  The run stops, converged, at the end of the first round with
+    tau >= upper.  The last master's tau and mixture and the weights of
+    the sweep that set upper are independently re-checkable, exact
+    certificates of both bounds.  rounds counts the pricing sweeps run,
+    at most max_rounds; max_rounds < 1 raises ValueError.
 
     trace, when given, is called after every pricing sweep with
     (round, pool value before the sweep, sweep maximum), all in bits.
     """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     _require_valid(inst)
     data = _prepare_price(inst, per_user_cap)
     total = _choice_count(data.options, max_choices)
@@ -605,10 +612,9 @@ def time_shared_symmetric_rate(
     weights = upper_weights = tuple(Fraction(1, n) for _ in range(n))
     upper = Fraction(c)
     converged = False
-    rounds = 0
 
     for rounds in range(1, max_rounds + 1):
-        cands = _sweep(data, *_scaled_weights(weights), total, points_per_round, threads)
+        cands = _sweep(data, *_scaled_weights(weights), total, _POINTS_PER_ROUND, threads)
         best_value = cands[0][0]
         if best_value <= upper:
             # Report the weights that certify the bound, not the last ones.
@@ -625,13 +631,13 @@ def time_shared_symmetric_rate(
                     added = True
             if not added:
                 raise AssertionError("an improving point must be new to the pool")
-            tau, weights = _hull_master([p.rates for p in pool], n)
+            # Round 1 always gets here: every sweep maximum is >= 0 > tau.
+            tau, weights, mixture_weights = _hull_master([p.rates for p in pool], n)
         if tau >= upper:
             # The weights of the sweep that set upper already prove tau optimal.
             converged = True
             break
 
-    value, mixture_weights = _hull_mixture([p.rates for p in pool], n)
     mixture = tuple((mu, pt) for mu, pt in zip(mixture_weights, pool) if mu)
 
     # Exact re-check of the achievability certificate.
@@ -641,11 +647,11 @@ def time_shared_symmetric_rate(
         if mu < 0 or not check_rate_point(inst, pt.choice, pt.rates, pt.allocation):
             raise AssertionError("mixture point failed the certificate re-check")
     for i in range(n):
-        if sum((mu * pt.rates[i] for mu, pt in mixture), Fraction(0)) < value:
+        if sum((mu * pt.rates[i] for mu, pt in mixture), Fraction(0)) < tau:
             raise AssertionError("mixture does not cover the reported symmetric value")
 
     return HullResult(
-        symmetric_rate=value / c,
+        symmetric_rate=tau / c,
         upper_bound=upper / c,
         converged=converged,
         mixture=mixture,

@@ -81,10 +81,11 @@ class _Tableau:
     entries actually grow.
     """
 
-    def __init__(self, t: np.ndarray, basis: list[int], nrows: int):
+    def __init__(self, t: np.ndarray, basis: list[int], nrows: int, slacks: np.ndarray):
         self.t = t
         self.basis = basis
         self.nrows = nrows          # constraint rows; objective rows follow
+        self.slacks = slacks        # slack column of each "<=" row, in input order
         self.small = t.dtype == np.int64
 
     def pivot(self, r: int, c: int) -> None:
@@ -160,6 +161,11 @@ class _Tableau:
                 return Fraction(int(self.t[r, width]), int(self.t[r, j]))
         return Fraction(0)
 
+    def prices(self) -> list[int]:
+        """Dual prices of the "<=" rows, in input order, times one common
+        positive factor: minus the reduced costs of their slack columns."""
+        return [-int(v) for v in self.t[self.nrows, self.slacks]]
+
 
 def _int_array(values) -> np.ndarray:
     """Exact integers as an array: int64 while every entry is within
@@ -201,7 +207,7 @@ def _simplex(
         t[np.arange(m), n + np.arange(m)] = 1
         t[:m, -1] = b
         t[m, :n] = obj
-        tab = _Tableau(t, list(range(n, n + m)), m)
+        tab = _Tableau(t, list(range(n, n + m)), m, n + np.arange(m))
         return tab.run(m, n + m), tab, n + m
 
     if eq is None:
@@ -223,7 +229,7 @@ def _simplex(
     basis = np.zeros(m, dtype=np.intp)
     basis[slack] = scol
     basis[art] = acol
-    tab = _Tableau(t, basis.tolist(), m)
+    tab = _Tableau(t, basis.tolist(), m, scol)
     OBJ = m
 
     if len(art):
@@ -260,6 +266,7 @@ def _simplex(
             np.hstack([body[:, : n + n_slack], body[:, ncols:]]),
             [tab.basis[r] for r in keep],
             m,
+            scol,
         )
         ncols = n + n_slack
         OBJ = m
@@ -292,10 +299,11 @@ def _scaled_int_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndar
 def solve_lp(lp: LinearProgram, verify: bool = True) -> LpSolution:
     """Solve lp exactly.
 
-    When the status is "optimal" the assignment satisfies every
-    constraint exactly; with verify=True this is re-checked by
-    substitution in rational arithmetic before returning.  Raises
-    ValueError for undeclared or duplicate variable names.
+    Every row and column goes to _simplex as is.  When the status is
+    "optimal" the assignment satisfies every constraint exactly; with
+    verify=True this is re-checked by substitution in rational arithmetic
+    before returning.  Raises ValueError for undeclared or duplicate
+    variable names.  The engine in composite.py calls _simplex directly.
     """
     declared = set(lp.variables)
     if len(declared) != len(lp.variables):
@@ -310,39 +318,11 @@ def solve_lp(lp: LinearProgram, verify: bool = True) -> LpSolution:
 
     rows, rhs, obj = _scaled_int_rows(lp)
     eq = np.array([con.relation == "=" for con in lp.constraints], dtype=bool)
-
-    # Presolve: a variable with no objective incentive, no equality-row
-    # appearance, and no negative "<="-row coefficient can sit at zero
-    # without shrinking the optimum or breaking feasibility.
-    helpful = (obj > 0) | ((rows != 0) & (eq[:, None] | (rows < 0))).any(axis=0)
-    keep = np.nonzero(helpful)[0]
-    sub = rows[:, keep]
-
-    # Drop trivial rows (checking their feasibility) and duplicates.
-    seen: set[tuple] = set()
-    use: list[int] = []
-    for r in range(len(eq)):
-        row = sub[r]
-        if not any(row):
-            if (eq[r] and rhs[r] != 0) or rhs[r] < 0:
-                return LpSolution(INFEASIBLE, None, {})
-            continue
-        g = math.gcd(abs(rhs[r]), *(abs(int(v)) for v in row))
-        key = (bool(eq[r]), rhs[r] // g) + tuple(int(v) // g for v in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        use.append(r)
-
-    status, tab, width = _simplex(
-        _int_array(sub[use]), _int_array(rhs[use]), _int_array(obj[keep]), eq[use]
-    )
+    status, tab, width = _simplex(_int_array(rows), _int_array(rhs), _int_array(obj), eq)
     if status != OPTIMAL:
         return LpSolution(status, None, {})
 
-    assignment = {v: Fraction(0) for v in lp.variables}
-    for j, var in enumerate(keep):
-        assignment[lp.variables[var]] = tab.value_of(j, width)
+    assignment = {v: tab.value_of(j, width) for j, v in enumerate(lp.variables)}
     optimum = sum((Fraction(c) * assignment[v] for v, c in lp.objective.items()), Fraction(0))
 
     if verify:

@@ -65,6 +65,7 @@ def example1_hull():
     return res, elapsed, configurations
 
 
+@pytest.mark.slow
 def test_criterion_1_composite_rate(example1_hull):
     res, elapsed, configurations = example1_hull
     rounded = f"{float(res.symmetric_rate):.4f}"
@@ -84,6 +85,7 @@ def test_criterion_1_composite_rate(example1_hull):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_linear_scheme_beats_composite(example1_hull):
     hull, _, _ = example1_hull
     scheme = builtin_scheme("example2")

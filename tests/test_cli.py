@@ -109,6 +109,12 @@ def test_composite_rate_weight_count_mismatch(capsys):
     assert "expected 2 weights" in err
 
 
+def test_composite_rate_negative_cap(capsys):
+    code, _, err = run_cli(capsys, "composite-rate", "--instance", "xor2", "--cap", "-1")
+    assert code == 1
+    assert err.startswith("error:") and "per_user_cap must be >= 0" in err
+
+
 def test_linear_check_pass(capsys):
     code, out, _ = run_cli(
         capsys, "linear-check", "--instance", "example1", "--scheme", "example2"

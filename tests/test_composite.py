@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from icl.composite import (
     DecodingChoice,
     SearchSpaceOverflow,
+    _hull_master,
     _prepare_price,
     _price_range,
     _scaled_weights,
@@ -48,6 +49,22 @@ def test_choice_space_cap_zero_is_demands_only():
 def test_choice_space_overflow_guard():
     with pytest.raises(SearchSpaceOverflow):
         list(enumerate_decoding_choices(EX1, max_choices=10))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cap: decoding_options(EX1, 0, cap),
+        lambda cap: list(enumerate_decoding_choices(EX1, cap)),
+        lambda cap: max_symmetric_rate(EX1, cap),
+        lambda cap: max_weighted_rate(EX1, {1: 1}, cap),
+        lambda cap: time_shared_symmetric_rate(EX1, cap),
+    ],
+    ids=["options", "enumerate", "pure", "weighted", "hull"],
+)
+def test_negative_cap_is_a_value_error(call):
+    with pytest.raises(ValueError, match="per_user_cap must be >= 0"):
+        call(-1)
 
 
 def test_xor2_single_bit_each():
@@ -325,6 +342,11 @@ def test_hull_stops_once_the_pool_meets_the_bound():
     assert hull.symmetric_rate == hull.upper_bound == Fraction(1, 3)
 
 
+def test_hull_needs_a_round():
+    with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+        time_shared_symmetric_rate(FOUR_SWEEPS, max_rounds=0)
+
+
 @pytest.mark.parametrize(
     "inst, cap", [(FOUR_SWEEPS, None), (EX1, 1)], ids=["four-sweeps", "example1-cap1"]
 )
@@ -407,3 +429,47 @@ def test_hull_matches_disjunctive_lp(case):
     # The returned weights certify the bound: re-pricing them gives it back.
     priced = max_weighted_rate(inst, dict(enumerate(hull.weights, start=1)), per_user_cap=cap)
     assert priced.value / inst.channel_bits == hull.upper_bound
+
+
+def _mixing_lp(points, n):
+    """Reference: max r s.t. the mixture mu sums to one and r <= sum_s mu_s v_s[i]."""
+    names = tuple(f"m{s}" for s in range(len(points)))
+    cons = [Constraint({nm: 1 for nm in names}, "=", 1)]
+    for i in range(n):
+        coeffs = {"r": 1}
+        for nm, v in zip(names, points):
+            if v[i]:
+                coeffs[nm] = -v[i]
+        cons.append(Constraint(coeffs, "<=", 0))
+    sol = solve_lp(LinearProgram(("r",) + names, {"r": 1}, tuple(cons)))
+    assert sol.status == OPTIMAL
+    return sol.optimum
+
+
+@st.composite
+def _pools(draw):
+    """1-6 points of small nonnegative rationals in 2-4 coordinates.
+
+    Half the pools are zero in one coordinate of every point, so that no
+    mixture is positive everywhere and tau = 0.
+    """
+    n = draw(st.integers(2, 4))
+    coord = st.fractions(min_value=0, max_value=3, max_denominator=5)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        points = [v[:i] + (Fraction(0),) + v[i + 1 :] for v in points]
+    return points, n
+
+
+@given(_pools())
+def test_hull_master_dual_mixture_matches_mixing_lp(pool):
+    points, n = pool
+    tau, w, mixture = _hull_master(points, n)
+    assert tau == _mixing_lp(points, n)
+    assert len(mixture) == len(points)
+    assert min(mixture) >= 0 and sum(mixture) == 1
+    for i in range(n):
+        assert sum(mu * v[i] for mu, v in zip(mixture, points)) >= tau
+    assert min(w) >= 0 and sum(w) == 1
+    assert tau == max(sum(wi * vi for wi, vi in zip(w, v)) for v in points)
