@@ -27,13 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .instance import IndexCodingInstance, validate_instance
-from .lp import OPTIMAL, Constraint, LinearProgram, _int_array, _simplex
+from .lp import OPTIMAL, Constraint, LinearProgram, _int_array, _simplex, _Tableau
 from .lp import solve_lp  # noqa: F401  unused; perfbench/tracing.py wraps icl.composite.solve_lp
 
 # Composite variables grow as 2^N; past this many messages neither the
@@ -292,17 +293,41 @@ class _PriceData:
     sits at index n + p (index n itself is unused).  Each block lists
     its decoding rows by descending J mask, the order in which the
     pricing and symmetric LPs take the fewest pivots.
+
+    relax, built for the symmetric search only, holds for each depth d
+    the relaxation rows of users d.. and the S masks they hit.  User
+    j's relaxation rows are the rows J <= D_j with v_J taken over A_j
+    and the union of j's options: every option K has D_j <= K, and v_J
+    only grows with K because S >= 0, so these rows hold whichever
+    option j takes.
     """
 
     n: int
     c: int
+    cvec: np.ndarray                    # [c] as lp._int_array stores it
     decomp: np.ndarray
     options: list[list[frozenset[int]]]
     blocks: list[list[np.ndarray]]      # blocks[j][o]: decoding rows for option o
     used: list[list[int]]               # used[j][o]: bitmask of S masks hit
+    relax: list[tuple[np.ndarray, int]] | None = None
 
 
-def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None) -> _PriceData:
+def _decoding_block(n: int, akmask: int, jmasks: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Rows sum_{i in J} R_i - v_J <= 0 for each J mask, v_J over the
+    S_P with P <= akmask meeting J; and the bitmask of S masks hit."""
+    block = np.zeros((len(jmasks), n + (1 << n)), dtype=np.int64)
+    used = 0
+    for i, jmask in enumerate(jmasks):
+        for b in _members(jmask):
+            block[i, b - 1] = 1
+        for p in _subsets_of(akmask):
+            if p & jmask:
+                block[i, n + p] = -1
+                used |= 1 << p
+    return block, used
+
+
+def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None, relax: bool = False) -> _PriceData:
     n = inst.num_messages
     width = n + (1 << n)
     decomp_rows = []
@@ -322,26 +347,82 @@ def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None) -> _Pric
     used: list[list[int]] = []
     for j, spec in enumerate(inst.users):
         amask = _mask(spec.knows)
-        jblocks: list[np.ndarray] = []
-        jused: list[int] = []
-        for K in options[j]:
-            kmask = _mask(K)
-            akmask = amask | kmask
-            jmasks = sorted(_subsets_of(kmask), reverse=True)
-            block = np.zeros((len(jmasks), width), dtype=np.int64)
-            blockused = 0
-            for i, jmask in enumerate(jmasks):
-                for b in _members(jmask):
-                    block[i, b - 1] = 1
-                for p in _subsets_of(akmask):
-                    if p & jmask:
-                        block[i, n + p] = -1
-                        blockused |= 1 << p
-            jblocks.append(block)
-            jused.append(blockused)
-        blocks.append(jblocks)
-        used.append(jused)
-    return _PriceData(n, inst.channel_bits, np.array(decomp_rows, dtype=np.int64), options, blocks, used)
+        pairs = [
+            _decoding_block(n, amask | _mask(K), sorted(_subsets_of(_mask(K)), reverse=True))
+            for K in options[j]
+        ]
+        blocks.append([b for b, _ in pairs])
+        used.append([u for _, u in pairs])
+    tails = None
+    if relax:
+        tails = [(np.zeros((0, width), dtype=np.int64), 0)]
+        for j in range(inst.num_users - 1, -1, -1):
+            spec = inst.users[j]
+            umask = _mask(frozenset().union(*options[j]))
+            block, bits = _decoding_block(
+                n, _mask(spec.knows) | umask, sorted(_subsets_of(_mask(spec.demands)), reverse=True)
+            )
+            rows, tailbits = tails[-1]
+            tails.append((np.concatenate((block, rows), axis=0), bits | tailbits))
+        tails.reverse()
+    c = inst.channel_bits
+    decomp = np.array(decomp_rows, dtype=np.int64)
+    return _PriceData(n, c, _int_array([c]), decomp, options, blocks, used, tails)
+
+
+def _solve(
+    data: _PriceData, blocks: Sequence[np.ndarray], usedbits: int, wvec: np.ndarray | None
+) -> tuple[_Tableau, int, list[int]]:
+    """Solve the LP over the decompression rows and then `blocks`.
+
+    Its columns are the rate columns and the S columns whose masks are
+    set in usedbits; an S column no row of blocks hits only loads the
+    decompression rows, so leaving it out changes no optimum.  The
+    objective weights the rate columns by wvec; wvec None sums the n
+    rate columns into one column R and maximizes R.  Returns the optimal
+    tableau, its right-hand-side column and the LP's columns in the
+    [R_1..R_n | S] numbering, rate columns first.
+    """
+    n = data.n
+    k = 1 if wvec is None else n
+    cols = list(range(k)) + [n + p for p in range(1, 1 << n) if usedbits >> p & 1]
+    A = np.concatenate([data.decomp, *blocks], axis=0)
+    if wvec is None:
+        A = np.concatenate((A[:, :n].sum(axis=1, keepdims=True), A[:, cols[1:]]), axis=1)
+        wvec = _int_array([1])
+    else:
+        A = A[:, cols]
+    obj = np.zeros(len(cols), dtype=wvec.dtype)
+    obj[:k] = wvec
+    rhs = np.zeros(A.shape[0], dtype=data.cvec.dtype)
+    rhs[: data.decomp.shape[0]] = data.cvec
+    status, tab, width = _simplex(A, rhs, obj)
+    if status != OPTIMAL:
+        raise AssertionError("composite LP is feasible and bounded by construction")
+    return tab, width, cols
+
+
+def _choice_lp(
+    data: _PriceData, idx: int, wvec: np.ndarray | None
+) -> tuple[_Tableau, int, list[int]]:
+    """_solve on choice idx: every user's option block, in user order."""
+    opt = _option_indices([len(o) for o in data.options], idx)
+    usedbits = 0
+    for j, o in enumerate(opt):
+        usedbits |= data.used[j][o]
+    return _solve(data, [data.blocks[j][o] for j, o in enumerate(opt)], usedbits, wvec)
+
+
+def _allocation(tab: _Tableau, width: int, cols: list[int], n: int) -> dict[int, Fraction]:
+    """Nonzero S values by mask, in basis-row order; cols as _solve's."""
+    alloc: dict[int, Fraction] = {}
+    for r in range(tab.nrows):
+        jcol = tab.basis[r]
+        if jcol < len(cols) and cols[jcol] > n:
+            v = Fraction(int(tab.t[r, width]), int(tab.t[r, jcol]))
+            if v:
+                alloc[cols[jcol] - n] = v
+    return alloc
 
 
 def _price_range(
@@ -361,39 +442,16 @@ def _price_range(
     S values by mask), best value first, duplicate rate vectors dropped.
     """
     n = data.n
-    symmetric = wnum is None
-    k = 1 if symmetric else n           # rate columns of the solved LP
-    wvec = _int_array([1]) if symmetric else wnum
-    c = _int_array([data.c])
-    counts = [len(o) for o in data.options]
-    nu = len(counts)
-    ndecomp = data.decomp.shape[0]
+    k = 1 if wnum is None else n        # rate columns of the solved LP
     cands: list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]] = []
     for idx in range(start, stop):
-        opt = _option_indices(counts, idx)
-        usedbits = 0
-        for j in range(nu):
-            usedbits |= data.used[j][opt[j]]
-        cols = list(range(k)) + [n + p for p in range(1, 1 << n) if usedbits >> p & 1]
-        parts = [data.decomp] + [data.blocks[j][opt[j]] for j in range(nu)]
-        A = np.concatenate(parts, axis=0)
-        if symmetric:
-            A = np.concatenate((A[:, :n].sum(axis=1, keepdims=True), A[:, cols[1:]]), axis=1)
-        else:
-            A = A[:, cols]
-        obj = np.zeros(len(cols), dtype=wvec.dtype)
-        obj[:k] = wvec
-        rhs = np.zeros(A.shape[0], dtype=c.dtype)
-        rhs[:ndecomp] = c
-        status, tab, width = _simplex(A, rhs, obj)
-        if status != OPTIMAL:
-            raise AssertionError("composite LP is feasible and bounded by construction")
+        tab, width, cols = _choice_lp(data, idx, wnum)
         rates = [Fraction(0)] * k
         for r in range(tab.nrows):
             jcol = tab.basis[r]
             if jcol < k:
                 rates[jcol] = Fraction(int(tab.t[r, width]), int(tab.t[r, jcol]))
-        if symmetric:
+        if wnum is None:
             value = rates[0]
             point = (value,) * n
         else:
@@ -403,17 +461,66 @@ def _price_range(
             continue
         if any(point == c[2] for c in cands):
             continue
-        alloc: dict[int, Fraction] = {}
-        for r in range(tab.nrows):
-            jcol = tab.basis[r]
-            if k <= jcol < len(cols):
-                v = Fraction(int(tab.t[r, width]), int(tab.t[r, jcol]))
-                if v:
-                    alloc[cols[jcol] - n] = v
-        cands.append((value, idx, point, alloc))
+        cands.append((value, idx, point, _allocation(tab, width, cols, n)))
         cands.sort(key=lambda e: (-e[0], e[1]))
         del cands[keep:]
     return cands
+
+
+def _node_bound(data: _PriceData, prefix: Sequence[int]) -> Fraction:
+    """Upper bound, in bits, on the symmetric LP value of every choice
+    whose first len(prefix) users take the options in prefix.
+
+    The LP keeps the decompression rows and the fixed users' blocks and
+    puts each unfixed user's relaxation rows in place of its block.
+    """
+    d = len(prefix)
+    tail, usedbits = data.relax[d]
+    for j, o in enumerate(prefix):
+        usedbits |= data.used[j][o]
+    blocks = [data.blocks[j][o] for j, o in enumerate(prefix)] + [tail]
+    tab, width, _ = _solve(data, blocks, usedbits, None)
+    return tab.value_of(0, width)
+
+
+def _search_range(
+    data: _PriceData, start: int, stop: int
+) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
+    """_price_range(data, None, 1, start, stop, 1) by branch and bound.
+
+    Depth-first over users in enumeration order; a node fixes the
+    options of a prefix of users and holds the choices of [start, stop)
+    that extend it.  A node is pruned when its _node_bound is <= the
+    best leaf so far, which keeps the first maximizer.  No bound is
+    solved before a first leaf, nor for a node with one child in range
+    (its child's bound is at least as tight); a node holding one choice
+    is that leaf.  A leaf runs exactly the flat scan's LP, so value,
+    choice and allocation are the flat scan's.
+    """
+    counts = [len(o) for o in data.options]
+    spans = [math.prod(counts[d:]) for d in range(len(counts) + 1)]
+    best = None
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())] if start < stop else []
+    while stack:
+        base, prefix = stack.pop()
+        d = len(prefix)
+        lo = max(base, start)
+        if min(base + spans[d], stop) - lo == 1:
+            tab, width, cols = _choice_lp(data, lo, None)
+            value = tab.value_of(0, width)
+            if best is None or value > best[0]:
+                best = (value, lo, (value,) * data.n, _allocation(tab, width, cols, data.n))
+            continue
+        span = spans[d + 1]
+        kids = [
+            (child, prefix + (o,))
+            for o in range(counts[d])
+            if (child := base + o * span) < stop and child + span > start
+        ]
+        if len(kids) > 1 and best is not None and _node_bound(data, prefix) <= best[0]:
+            continue
+        stack.extend(reversed(kids))
+    return [best] if best is not None else []
 
 
 def _scaled_weights(weights: Sequence[RationalLike]) -> tuple[np.ndarray, int]:
@@ -452,21 +559,27 @@ def _sweep(
     keep: int,
     threads: int,
 ) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
-    """_price_range over all `total` choices, split across forked workers.
+    """The best `keep` of all `total` choices, split across forked workers.
 
-    Where the platform cannot fork, the sweep runs serially; the merged
-    candidates equal the serial ones either way.
+    Weighted sweeps run _price_range; the symmetric one (wnum None,
+    keep 1) runs _search_range, and each worker prunes with its own
+    best leaf.  Where the platform cannot fork, the sweep runs serially;
+    the merged candidates equal the serial ones either way.
     """
+    if wnum is None:
+        scan, head = _search_range, (data,)
+    else:
+        scan, head = partial(_price_range, keep=keep), (data, wnum, wden)
     if threads > 1 and total > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             nchunks = min(threads, total)
             bounds = [total * i // nchunks for i in range(nchunks + 1)]
-            args = [(data, wnum, wden, bounds[i], bounds[i + 1], keep) for i in range(nchunks)]
+            args = [(*head, bounds[i], bounds[i + 1]) for i in range(nchunks)]
             with multiprocessing.get_context("fork").Pool(threads) as workers:
-                return _merge_candidates(workers.starmap(_price_range, args), keep)
-    return _price_range(data, wnum, wden, 0, total, keep)
+                return _merge_candidates(workers.starmap(scan, args), keep)
+    return scan(*head, 0, total)
 
 
 def _choice_at(data: _PriceData, idx: int) -> DecodingChoice:
@@ -486,10 +599,11 @@ def max_symmetric_rate(
     maximizing choice (first in enumeration order on ties) and its
     composite-rate allocation, and is re-checked against the constraint
     system before being returned.  The rate is normalized per channel
-    bit.
+    bit.  The choices are searched by branch and bound over users
+    (_search_range), which returns what the exhaustive sweep would.
     """
     _require_valid(inst)
-    data = _prepare_price(inst, per_user_cap)
+    data = _prepare_price(inst, per_user_cap, relax=True)
     total = _choice_count(data.options, max_choices)
     [(best, idx, _, alloc)] = _sweep(data, None, 1, total, 1, threads)
     choice = _choice_at(data, idx)

@@ -92,8 +92,13 @@ def test_composite_rate_weighted(capsys):
             "rate 4/15 (0.266667)  [per channel bit]\n"
             "choice: {1}, {2}, {1,3}, {4,5}, {2,5}, {6}\n",
         ),
+        (
+            ("--instance", "example1", "--pure"),
+            "rate 3/11 (0.272727)  [per channel bit]\n"
+            "choice: {1}, {2}, {1,3}, {1,4}, {2,3,5}, {6}\n",
+        ),
     ],
-    ids=["hull", "example1-cap1", "pure", "example1-cap1-pure"],
+    ids=["hull", "example1-cap1", "pure", "example1-cap1-pure", "example1-pure"],
 )
 def test_composite_rate_stdout_is_pinned(capsys, argv, expected):
     code, out, _ = run_cli(capsys, "composite-rate", *argv)

@@ -3,15 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from icl.composite import (
     DecodingChoice,
     SearchSpaceOverflow,
+    _choice_lp,
     _hull_master,
+    _node_bound,
+    _option_indices,
     _prepare_price,
     _price_range,
     _scaled_weights,
+    _search_range,
     build_composite_lp,
     check_certificate,
     check_rate_point,
@@ -89,6 +93,14 @@ def test_example1_demands_only_choice():
 def test_example1_one_extra_message():
     res = max_symmetric_rate(EX1, per_user_cap=1)
     assert res.symmetric_rate == Fraction(4, 15)
+
+
+def test_example1_uncapped():
+    res = max_symmetric_rate(EX1)
+    assert res.symmetric_rate == Fraction(3, 11)
+    assert res.best_choice.sets == tuple(
+        frozenset(K) for K in ({1}, {2}, {1, 3}, {1, 4}, {2, 3, 5}, {6})
+    )
 
 
 def test_example1_demands_only_agrees_with_float_solver():
@@ -212,17 +224,25 @@ def test_weighted_undemanded_message_without_positive_weight(w3):
     assert res.value == 2
 
 
+def _draw_users(draw, n, alphabet="-dk"):
+    """2-4 users on n messages, each demanding one or more of them; each
+    other message is free (-), demanded (d) or known (k) as drawn from
+    alphabet."""
+    users = []
+    for _ in range(draw(st.integers(2, 4))):
+        demand = draw(st.integers(1, n))
+        roles = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+        demands = {demand} | {i for i in range(1, n + 1) if roles[i - 1] == "d"}
+        knows = {i for i in range(1, n + 1) if roles[i - 1] == "k"} - demands
+        users.append(UserSpec.of(demands, knows))
+    return users
+
+
 @st.composite
 def _weighted_cases(draw):
     """A valid instance, a cap and weights that keep the weighted sum finite."""
     n = draw(st.integers(2, 4))
-    users = []
-    for _ in range(draw(st.integers(2, 4))):
-        demand = draw(st.integers(1, n))
-        roles = draw(st.lists(st.sampled_from("-dk"), min_size=n, max_size=n))
-        demands = {demand} | {i for i in range(1, n + 1) if roles[i - 1] == "d"}
-        knows = {i for i in range(1, n + 1) if roles[i - 1] == "k"} - demands
-        users.append(UserSpec.of(demands, knows))
+    users = _draw_users(draw, n)
     inst = IndexCodingInstance(n, tuple(users), draw(st.integers(1, 3)))
     assume(not validate_instance(inst))
     cap = draw(st.sampled_from([None, 1]))
@@ -262,6 +282,112 @@ def test_symmetric_sweep_matches_generic_lp(case):
     rate, choice = _weighted_by_generic_lp(inst, None, cap)
     assert (res.symmetric_rate, res.best_choice) == (rate / inst.channel_bits, choice)
     assert check_certificate(inst, res.best_choice, res.symmetric_rate, res.allocation)
+
+
+# Decoding extra messages lifts this instance's symmetric rate from 1/4
+# (every K_j = D_j) to 1/3: user 1 also decodes message 1 and user 4
+# message 2.  Random instances this small almost never gain from extras,
+# so a bound that ignored them would go unnoticed on those alone.
+EXTRAS_HELP = IndexCodingInstance(
+    4, (UserSpec.of({2}, {3, 4}), UserSpec.of({4}), UserSpec.of({1}, {2}), UserSpec.of({3}, {1, 4}))
+)
+
+
+def _search_cases(max_choices):
+    """An instance, a cap and a sub-range [start, stop) of its at most
+    max_choices choices.
+
+    The instance is random, with repeated users and a 2- or 3-bit
+    channel so that many choices tie, or EXTRAS_HELP with its messages
+    relabelled, its users shuffled and maybe one repeated.  The cap is
+    0, 1 or none; the range is all choices half the time.
+    """
+
+    @st.composite
+    def random_instances(draw):
+        n = draw(st.integers(3, 4))
+        # Mostly free messages, so that most users have several options.
+        users = _draw_users(draw, n, alphabet="---dk")
+        users += draw(st.lists(st.sampled_from(users), max_size=2))
+        return IndexCodingInstance(n, tuple(draw(st.permutations(users))), draw(st.sampled_from([2, 3])))
+
+    @st.composite
+    def extras_help(draw):
+        new = dict(zip(range(1, 5), draw(st.permutations(range(1, 5)))))
+        users = [
+            UserSpec.of({new[i] for i in u.demands}, {new[i] for i in u.knows})
+            for u in EXTRAS_HELP.users
+        ]
+        users += draw(st.lists(st.sampled_from(users), max_size=1))
+        return IndexCodingInstance(4, tuple(draw(st.permutations(users))), draw(st.sampled_from([2, 3])))
+
+    @st.composite
+    def cases(draw):
+        inst = draw(st.one_of(random_instances(), extras_help()))
+        assume(not validate_instance(inst))
+        # Cap 0 leaves one choice, so it is drawn less often.
+        cap = draw(st.sampled_from([None, 1, None, 1, 0]))
+        total = sum(1 for _ in enumerate_decoding_choices(inst, cap))
+        assume(total <= max_choices)
+        if draw(st.booleans()):
+            return inst, cap, 0, total
+        start = draw(st.integers(0, total - 1))
+        return inst, cap, start, draw(st.integers(start + 1, total))
+
+    return cases()
+
+
+def _assert_search_matches_flat_scan(data, start, stop):
+    tree = _search_range(data, start, stop)
+    flat = _price_range(data, None, 1, start, stop, 1)
+    # Value, first maximizing choice index, rate point and allocation;
+    # the leaf runs the flat scan's LP, so even the dict order agrees.
+    assert tree == flat
+    assert list(tree[0][3].items()) == list(flat[0][3].items())
+
+
+@given(_search_cases(max_choices=256))
+def test_search_matches_flat_scan(case):
+    inst, cap, start, stop = case
+    _assert_search_matches_flat_scan(_prepare_price(inst, cap, relax=True), start, stop)
+
+
+CYCLE4 = IndexCodingInstance(4, tuple(UserSpec.of({i}, {i % 4 + 1}) for i in range(1, 5)))
+
+
+def test_search_matches_flat_scan_past_int64():
+    inst = IndexCodingInstance(4, CYCLE4.users + CYCLE4.users[:1], 2**70)
+    data = _prepare_price(inst, None, relax=True)
+    assert _choice_lp(data, 0, None)[0].t.dtype == object
+    for start, stop in [(0, 1024), (300, 701)]:
+        _assert_search_matches_flat_scan(data, start, stop)
+
+
+@given(_search_cases(max_choices=64))
+def test_node_bound_covers_every_leaf_below(case):
+    inst, cap, _, _ = case
+    data = _prepare_price(inst, cap, relax=True)
+    counts = [len(o) for o in data.options]
+    bounds = {}
+    for idx in range(sum(1 for _ in enumerate_decoding_choices(inst, cap))):
+        tab, width, _ = _choice_lp(data, idx, None)
+        leaf = tab.value_of(0, width)
+        opt = tuple(_option_indices(counts, idx))
+        for d in range(len(opt) + 1):
+            if opt[:d] not in bounds:
+                bounds[opt[:d]] = _node_bound(data, opt[:d])
+            assert bounds[opt[:d]] >= leaf
+        # With every user fixed the bound LP is the leaf's own LP.
+        assert bounds[opt] == leaf
+
+
+@settings(max_examples=25)
+@given(_search_cases(max_choices=256))
+def test_pure_threads_match_serial_on_random_instances(case):
+    inst, cap, _, _ = case
+    serial = max_symmetric_rate(inst, cap)
+    forked = max_symmetric_rate(inst, cap, threads=2)
+    assert forked == serial and repr(forked) == repr(serial)
 
 
 def test_threads_match_serial():
