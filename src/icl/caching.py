@@ -170,6 +170,17 @@ def leaders(d: Iterable[int]) -> frozenset[int]:
     return frozenset(first.values())
 
 
+def _with_caches(
+    subfiles: SubfileMap, cache_files: Fraction, placement: str
+) -> tuple[CacheState, SubfileMap]:
+    """Each user caches every subfile whose cached-by set holds it."""
+    K = subfiles.num_users
+    contents = tuple(
+        {key: v for key, v in subfiles.values.items() if k in key[1]} for k in range(1, K + 1)
+    )
+    return CacheState(K, cache_files, placement, subfiles.positions, contents), subfiles
+
+
 def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState, SubfileMap]:
     """Centralized placement: split each file into binom(K,t) equal
     subfiles indexed by the t-subsets of users, each user caching every
@@ -179,8 +190,7 @@ def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState
     K = num_users
     if K < 1:
         raise ValueError("need at least one user")
-    if not 0 <= t <= K:
-        raise DomainError(f"t must lie in [0..{K}], got {t}")
+    _require_t(K, t)
     n_sub = comb(K, t)
     B = library.file_bits
     if B % n_sub:
@@ -196,18 +206,8 @@ def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState
             key = (i, W)
             positions[key] = pos
             values[key] = _pack_bits(fb[pos])
-    contents = tuple(
-        {key: values[key] for key in positions if k in key[1]} for k in range(1, K + 1)
-    )
-    cache = CacheState(
-        num_users=K,
-        cache_files=Fraction(t * library.num_files, K),
-        placement=f"centralized(t={t})",
-        layout=positions,
-        contents=contents,
-    )
     subfiles = SubfileMap(K, library.num_files, B, positions, values, placement_t=t)
-    return cache, subfiles
+    return _with_caches(subfiles, Fraction(t * library.num_files, K), f"centralized(t={t})")
 
 
 def dman_place(
@@ -249,18 +249,8 @@ def dman_place(
             key = (i, W)
             positions[key] = pos
             values[key] = _pack_bits(fb[pos])
-    contents = tuple(
-        {key: values[key] for key in positions if k in key[1]} for k in range(1, K + 1)
-    )
-    cache = CacheState(
-        num_users=K,
-        cache_files=M,
-        placement=f"decentralized(seed={seed})",
-        layout=positions,
-        contents=contents,
-    )
-    subfiles = SubfileMap(K, N, B, positions, values, placement_t=None, seed=seed)
-    return cache, subfiles
+    subfiles = SubfileMap(K, N, B, positions, values, seed=seed)
+    return _with_caches(subfiles, M, f"decentralized(seed={seed})")
 
 
 def _group_payloads(
@@ -296,6 +286,13 @@ def _group_payloads(
     return payloads
 
 
+def _transcript(payloads: list[Payload], subfiles: SubfileMap, mode: str) -> DeliveryTranscript:
+    total = sum(p.nbits for p in payloads)
+    return DeliveryTranscript(
+        tuple(payloads), subfiles.file_bits, total, Fraction(total, subfiles.file_bits), mode
+    )
+
+
 def deliver(subfiles: SubfileMap, d: Iterable[int], mode: str = "full") -> DeliveryTranscript:
     """Centralized delivery: one XOR payload per (t+1)-subset of users.
 
@@ -311,11 +308,7 @@ def deliver(subfiles: SubfileMap, d: Iterable[int], mode: str = "full") -> Deliv
     d = tuple(d)
     _check_demand(d, subfiles.num_users, subfiles.num_files)
     lead = leaders(d) if mode == "reduced" else None
-    payloads = _group_payloads(subfiles, d, subfiles.placement_t, lead)
-    total = sum(p.nbits for p in payloads)
-    return DeliveryTranscript(
-        tuple(payloads), subfiles.file_bits, total, Fraction(total, subfiles.file_bits), mode
-    )
+    return _transcript(_group_payloads(subfiles, d, subfiles.placement_t, lead), subfiles, mode)
 
 
 def dman_deliver(subfiles: SubfileMap, d: Iterable[int]) -> DeliveryTranscript:
@@ -331,10 +324,7 @@ def dman_deliver(subfiles: SubfileMap, d: Iterable[int]) -> DeliveryTranscript:
     payloads: list[Payload] = []
     for t in range(subfiles.num_users):
         payloads.extend(_group_payloads(subfiles, d, t, lead))
-    total = sum(p.nbits for p in payloads)
-    return DeliveryTranscript(
-        tuple(payloads), subfiles.file_bits, total, Fraction(total, subfiles.file_bits), "decentralized"
-    )
+    return _transcript(payloads, subfiles, "decentralized")
 
 
 def decode_all_users(
@@ -450,11 +440,21 @@ def _require_positive_int(name: str, value) -> int:
     return value
 
 
+def _require_t(K: int, t) -> None:
+    if not isinstance(t, int) or not 0 <= t <= K:
+        raise DomainError(f"t must lie in [0..{K}], got {t!r}")
+
+
+def reduced_payload_count(K: int, t: int, distinct: int) -> int:
+    """Payloads of reduced centralized delivery when `distinct` files are
+    demanded: binom(K,t+1) - binom(K-distinct,t+1)."""
+    return comb(K, t + 1) - comb(K - distinct, t + 1)
+
+
 def r_cman(K: int, t: int) -> Fraction:
     """Full-delivery load binom(K,t+1)/binom(K,t)."""
     _require_positive_int("K", K)
-    if not isinstance(t, int) or not 0 <= t <= K:
-        raise DomainError(f"t must lie in [0..{K}], got {t!r}")
+    _require_t(K, t)
     return Fraction(comb(K, t + 1), comb(K, t))
 
 
@@ -463,9 +463,8 @@ def r_c_opt(K: int, N: int, t: int) -> Fraction:
     (binom(K,t+1) - binom(K-min(N,K),t+1)) / binom(K,t)."""
     _require_positive_int("K", K)
     _require_positive_int("N", N)
-    if not isinstance(t, int) or not 0 <= t <= K:
-        raise DomainError(f"t must lie in [0..{K}], got {t!r}")
-    return Fraction(comb(K, t + 1) - comb(K - min(N, K), t + 1), comb(K, t))
+    _require_t(K, t)
+    return Fraction(reduced_payload_count(K, t, min(N, K)), comb(K, t))
 
 
 def r_c_opt_envelope(K: int, N: int, M) -> Fraction:
@@ -506,16 +505,11 @@ def r_dman(K: int, N: int, M) -> Fraction:
 
 
 def r_d_opt(K: int, N: int, M) -> Fraction:
-    """Decentralized reduced load (1-f)/f * (1 - (1-f)^min(K,N))."""
+    """Decentralized reduced load (1-f)/f * (1 - (1-f)^min(K,N)): r_dman
+    for min(K,N) users."""
     _require_positive_int("K", K)
     _require_positive_int("N", N)
-    M = Fraction(M)
-    if not 0 < M <= N:
-        raise DomainError(f"cache size must satisfy 0 < M <= N, got {M}")
-    f = M / N
-    if f == 1:
-        return Fraction(0)
-    return (1 - f) / f * (1 - (1 - f) ** min(K, N))
+    return r_dman(min(K, N), N, M)
 
 
 _FORMULAS = {
@@ -621,6 +615,17 @@ def reduce_to_index_coding(
     return inst, labels
 
 
+def _check_delivery(K: int, N: int, t: int, d: Iterable[int], k_bits: int) -> tuple[int, ...]:
+    """Validate the arguments of a synthesized delivery; returns d as a tuple."""
+    _require_positive_int("K", K)
+    _require_positive_int("N", N)
+    _require_positive_int("k_bits", k_bits)
+    d = tuple(d)
+    _check_demand(d, K, N)
+    _require_t(K, t)
+    return d
+
+
 def synthesize_delivery_scheme(
     K: int,
     N: int,
@@ -637,19 +642,13 @@ def synthesize_delivery_scheme(
     choice K_j = D_j.  Raises DomainError for t = K, where nothing
     needs delivering.
     """
-    _require_positive_int("K", K)
-    _require_positive_int("N", N)
-    _require_positive_int("k_bits", k_bits)
-    d = tuple(d)
-    _check_demand(d, K, N)
-    if not isinstance(t, int) or not 0 <= t <= K:
-        raise DomainError(f"t must lie in [0..{K}], got {t!r}")
+    d = _check_delivery(K, N, t, d, k_bits)
     if t == K:
         raise DomainError("t = K leaves nothing to deliver; there is no scheme to build")
     nd = sorted(set(d))
     keys = [(i, frozenset(W)) for i in nd for W in combinations(range(1, K + 1), t)]
     ids = {key: mid for mid, key in enumerate(keys, start=1)}
-    c = k_bits * (comb(K, t + 1) - comb(K - len(nd), t + 1))
+    c = k_bits * reduced_payload_count(K, t, len(nd))
     specs = tuple(
         UserSpec(
             frozenset(ids[key] for key in keys if key[0] == d[k - 1] and k not in key[1]),
@@ -699,7 +698,7 @@ class DeliveryVerification:
 
 def verify_delivery_scheme(K: int, N: int, t: int, d: Iterable[int], k_bits: int = 1) -> DeliveryVerification:
     """Synthesize and fully certify the reduced delivery for (K,N,t,d)."""
-    d = tuple(d)
+    d = _check_delivery(K, N, t, d, k_bits)
     worst = len(set(d)) == min(N, K)
     expected = r_c_opt(K, N, t) if worst else None
     if t == K:

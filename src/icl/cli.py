@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from . import caching
 from .caching import (
     DecodeFailure,
     DomainError,
@@ -34,6 +32,7 @@ from .caching import (
     r_d_opt,
     random_library,
     reduce_to_index_coding,
+    reduced_payload_count,
     synthesize_delivery_scheme,
     transcript_log,
     verify_delivery_scheme,
@@ -55,21 +54,13 @@ from .instance import (
 from .outer import acyclic_symmetric_bound
 from .schemes import (
     EnumerationTooLarge,
+    LinearScheme,
     builtin_scheme,
     check_scheme,
     format_scheme,
     parse_scheme,
     zero_error_decode_check,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: a single subcommand plus its options."""
-
-    subcommand: str
-    output_format: str
-    options: argparse.Namespace
 
 
 class _Failure(Exception):
@@ -81,40 +72,31 @@ def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator} ({float(q):.6f})"
 
 
+def _load(kind: str, suffix: str, parse, builtin, arg: str):
+    """Parse the file at arg, or else look up arg minus suffix as a builtin."""
+    path = Path(arg)
+    if path.exists():
+        try:
+            value = parse(path.read_text())
+        except ValueError as e:
+            raise _Failure(f"cannot parse {kind} file {arg}: {e}")
+        print(f"{kind}: {arg}")
+        return value
+    name = arg.removesuffix(suffix)
+    try:
+        value = builtin(name)
+    except UnknownName:
+        raise _Failure(f"no such file and no builtin {kind} named {name!r}: {arg}")
+    print(f"{kind}: builtin {name}")
+    return value
+
+
 def _load_instance(arg: str) -> IndexCodingInstance:
-    path = Path(arg)
-    if path.exists():
-        try:
-            inst = parse_instance(path.read_text())
-        except ValueError as e:
-            raise _Failure(f"cannot parse instance file {arg}: {e}")
-        print(f"instance: {arg}")
-        return inst
-    name = arg[:-3] if arg.endswith(".ic") else arg
-    try:
-        inst = builtin_instance(name)
-    except UnknownName:
-        raise _Failure(f"no such file and no builtin instance named {name!r}: {arg}")
-    print(f"instance: builtin {name}")
-    return inst
+    return _load("instance", ".ic", parse_instance, builtin_instance, arg)
 
 
-def _load_scheme(arg: str):
-    path = Path(arg)
-    if path.exists():
-        try:
-            scheme = parse_scheme(path.read_text())
-        except ValueError as e:
-            raise _Failure(f"cannot parse scheme file {arg}: {e}")
-        print(f"scheme: {arg}")
-        return scheme
-    name = arg[:-4] if arg.endswith(".sch") else arg
-    try:
-        scheme = builtin_scheme(name)
-    except UnknownName:
-        raise _Failure(f"no such file and no builtin scheme named {name!r}: {arg}")
-    print(f"scheme: builtin {name}")
-    return scheme
+def _load_scheme(arg: str) -> LinearScheme:
+    return _load("scheme", ".sch", parse_scheme, builtin_scheme, arg)
 
 
 def _parse_demands(text: str, K: int) -> tuple[int, ...]:
@@ -134,8 +116,8 @@ def _parse_fraction(text: str) -> Fraction:
         raise _Failure(f"not a rational number: {text!r}")
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.options.instance)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
     problems = validate_instance(inst)
     if problems:
         for p in problems:
@@ -148,15 +130,14 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_composite_rate(cfg: RunConfig) -> int:
-    opts = cfg.options
-    inst = _load_instance(opts.instance)
-    if opts.weights is not None:
-        weights = [_parse_fraction(t) for t in opts.weights.split(",")]
+def _cmd_composite_rate(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
+    if args.weights is not None:
+        weights = [_parse_fraction(t) for t in args.weights.split(",")]
         if len(weights) != inst.num_messages:
             raise _Failure(f"expected {inst.num_messages} weights, got {len(weights)}")
         res = max_weighted_rate(
-            inst, dict(enumerate(weights, start=1)), per_user_cap=opts.cap
+            inst, dict(enumerate(weights, start=1)), per_user_cap=args.cap
         )
         print(f"weighted value {_frac(res.value)}  [bits]")
         for i in sorted(res.rates):
@@ -164,15 +145,15 @@ def _cmd_composite_rate(cfg: RunConfig) -> int:
         sets = ", ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in res.best_choice.sets)
         print(f"choice: {sets}")
         return 0
-    if opts.pure:
+    if args.pure:
         res = max_symmetric_rate(
-            inst, per_user_cap=opts.cap, threads=opts.threads
+            inst, per_user_cap=args.cap, threads=args.threads
         )
         print(f"rate {_frac(res.symmetric_rate)}  [per channel bit]")
         sets = ", ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in res.best_choice.sets)
         print(f"choice: {sets}")
         return 0
-    res = time_shared_symmetric_rate(inst, per_user_cap=opts.cap, threads=opts.threads)
+    res = time_shared_symmetric_rate(inst, per_user_cap=args.cap, threads=args.threads)
     print(f"rate {_frac(res.symmetric_rate)}  [per channel bit, time-shared]")
     print(
         f"upper bound {_frac(res.upper_bound)}  converged {res.converged}  "
@@ -184,9 +165,9 @@ def _cmd_composite_rate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_linear_check(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.options.instance)
-    scheme = _load_scheme(cfg.options.scheme)
+def _cmd_linear_check(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
+    scheme = _load_scheme(args.scheme)
     verdict = check_scheme(inst, scheme)
     for j, used in enumerate(verdict.channel_use, start=1):
         macs = verdict.mac[j - 1]
@@ -198,18 +179,18 @@ def _cmd_linear_check(cfg: RunConfig) -> int:
     return 0 if verdict.passed else 1
 
 
-def _cmd_zero_error(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.options.instance)
-    scheme = _load_scheme(cfg.options.scheme)
-    per_user = zero_error_decode_check(inst, scheme, mode=cfg.options.mode)
+def _cmd_zero_error(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
+    scheme = _load_scheme(args.scheme)
+    per_user = zero_error_decode_check(inst, scheme, mode=args.mode)
     for j, ok in enumerate(per_user, start=1):
         print(f"user {j}: {'decodes' if ok else 'FAILS to decode'}")
     print("PASS" if all(per_user) else "FAIL")
     return 0 if all(per_user) else 1
 
 
-def _cmd_mais(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.options.instance)
+def _cmd_mais(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
     res = acyclic_symmetric_bound(inst)
     witness = ",".join(map(str, sorted(res.witness)))
     print(f"max acyclic induced subgraph size {res.mais_size}  witness {{{witness}}}")
@@ -217,15 +198,14 @@ def _cmd_mais(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_sandwich(cfg: RunConfig) -> int:
-    opts = cfg.options
-    inst = _load_instance(opts.instance)
+def _cmd_sandwich(args: argparse.Namespace) -> int:
+    inst = _load_instance(args.instance)
     rows: list[tuple[str, str]] = []
-    hull = time_shared_symmetric_rate(inst, threads=opts.threads)
+    hull = time_shared_symmetric_rate(inst, threads=args.threads)
     rows.append(("composite inner bound (time-shared)", _frac(hull.symmetric_rate)))
     failed = False
-    if opts.scheme:
-        scheme = _load_scheme(opts.scheme)
+    if args.scheme:
+        scheme = _load_scheme(args.scheme)
         verdict = check_scheme(inst, scheme)
         zero = all(zero_error_decode_check(inst, scheme, mode="algebraic"))
         tag = "PASS" if verdict.passed and zero else "FAIL"
@@ -233,7 +213,7 @@ def _cmd_sandwich(cfg: RunConfig) -> int:
         failed = failed or tag == "FAIL"
     outer = acyclic_symmetric_bound(inst)
     rows.append((f"acyclic outer bound (size {outer.mais_size})", _frac(outer.symmetric_upper)))
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         for name, value in rows:
             print(f"{name.replace(',', ';')},{value.split(' ')[0]}")
     else:
@@ -243,23 +223,22 @@ def _cmd_sandwich(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _simulate_centralized(cfg: RunConfig) -> int:
-    opts = cfg.options
-    K, N, t, B = opts.K, opts.N, opts.t, opts.B
+def _simulate_centralized(args: argparse.Namespace) -> int:
+    K, N, t, B = args.K, args.N, args.t, args.B
     if t is None:
         raise _Failure("centralized simulation requires --t")
-    lib = random_library(N, B, seed=opts.seed)
+    lib = random_library(N, B, seed=args.seed)
     cache, sub = cman_place(K, t, lib)
-    d = _parse_demands(opts.demands, K)
-    tr = deliver(sub, d, mode=opts.mode)
+    d = _parse_demands(args.demands, K)
+    tr = deliver(sub, d, mode=args.mode)
     decoded = decode_all_users(cache, tr, d)
     wrong = [k for k in range(1, K + 1) if decoded[k - 1] != lib.files[d[k - 1] - 1]]
     if wrong:
         raise _Failure(f"users {wrong} decoded the wrong bits")
-    if opts.transcript:
+    if args.transcript:
         print(transcript_log(tr))
-    if cfg.output_format == "csv":
-        print(load_csv_row(K, N, t, d, opts.mode, tr.load))
+    if args.format == "csv":
+        print(load_csv_row(K, N, t, d, args.mode, tr.load))
     else:
         print(f"payloads {len(tr.payloads)}  total bits {tr.total_bits}")
         print(f"load {_frac(tr.load)}  [channel bits per file]")
@@ -267,62 +246,60 @@ def _simulate_centralized(cfg: RunConfig) -> int:
     return 0
 
 
-def _simulate_decentralized(cfg: RunConfig) -> int:
-    opts = cfg.options
-    K, N, B = opts.K, opts.N, opts.B
-    if opts.M is None:
+def _simulate_decentralized(args: argparse.Namespace) -> int:
+    K, N, B = args.K, args.N, args.B
+    if args.M is None:
         raise _Failure("decentralized simulation requires --M")
-    M = _parse_fraction(opts.M)
-    lib = random_library(N, B, seed=opts.seed)
-    d = _parse_demands(opts.demands, K)
+    if args.trials < 1:
+        raise _Failure(f"decentralized simulation requires --trials >= 1, got {args.trials}")
+    M = _parse_fraction(args.M)
+    lib = random_library(N, B, seed=args.seed)
+    d = _parse_demands(args.demands, K)
     loads: list[Fraction] = []
-    for trial in range(opts.trials):
-        cache, sub = dman_place(K, M, lib, seed=opts.seed + trial)
+    for trial in range(args.trials):
+        cache, sub = dman_place(K, M, lib, seed=args.seed + trial)
         tr = dman_deliver(sub, d)
         decoded = decode_all_users(cache, tr, d)
         wrong = [k for k in range(1, K + 1) if decoded[k - 1] != lib.files[d[k - 1] - 1]]
         if wrong:
-            raise _Failure(f"seed {opts.seed + trial}: users {wrong} decoded the wrong bits")
+            raise _Failure(f"seed {args.seed + trial}: users {wrong} decoded the wrong bits")
         loads.append(tr.load)
-        if cfg.output_format == "csv":
-            print(load_csv_row(K, N, f"seed{opts.seed + trial}", d, "decentralized", tr.load))
+        if args.format == "csv":
+            print(load_csv_row(K, N, f"seed{args.seed + trial}", d, "decentralized", tr.load))
         else:
-            print(f"seed {opts.seed + trial}: load {_frac(tr.load)}")
+            print(f"seed {args.seed + trial}: load {_frac(tr.load)}")
     mean = sum(loads, Fraction(0)) / len(loads)
     reference = r_d_opt(K, N, M)
-    if cfg.output_format != "csv":
-        print(f"mean load {_frac(mean)}  over {opts.trials} seed(s)")
+    if args.format != "csv":
+        print(f"mean load {_frac(mean)}  over {args.trials} seed(s)")
         print(f"reference  {_frac(reference)}  [asymptotic formula]")
         print(f"all {K} users decoded bit-exactly in every trial")
     return 0
 
 
-def _cmd_cache_sim(cfg: RunConfig) -> int:
-    if cfg.options.decentralized:
-        return _simulate_decentralized(cfg)
-    return _simulate_centralized(cfg)
+def _cmd_cache_sim(args: argparse.Namespace) -> int:
+    if args.decentralized:
+        return _simulate_decentralized(args)
+    return _simulate_centralized(args)
 
 
-def _cmd_cache_formulas(cfg: RunConfig) -> int:
-    value = formula_loads(cfg.options.query)
-    print(f"{cfg.options.query.strip()} = {_frac(value)}")
+def _cmd_cache_formulas(args: argparse.Namespace) -> int:
+    value = formula_loads(args.query)
+    print(f"{args.query.strip()} = {_frac(value)}")
     return 0
 
 
-def _cmd_cache_reduce(cfg: RunConfig) -> int:
-    opts = cfg.options
-    K, N, t = opts.K, opts.N, opts.t
-    if t is None:
-        raise _Failure("reduction requires --t")
-    d = _parse_demands(opts.demands, K)
-    lib = random_library(N, comb(K, t), seed=opts.seed)
+def _cmd_cache_reduce(args: argparse.Namespace) -> int:
+    K, N, t = args.K, args.N, args.t
+    d = _parse_demands(args.demands, K)
+    lib = random_library(N, comb(K, t), seed=args.seed)
     _, sub = cman_place(K, t, lib)
-    c = comb(K, t + 1) - comb(K - len(set(d)), t + 1)
+    c = reduced_payload_count(K, t, len(set(d)))
     inst, labels = reduce_to_index_coding(sub, d, channel_bits=max(c, 1))
     text = format_instance(inst)
-    if opts.out:
-        Path(opts.out).write_text(text)
-        print(f"wrote instance to {opts.out}")
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote instance to {args.out}")
     else:
         sys.stdout.write(text)
     for mid in sorted(labels.by_id):
@@ -334,20 +311,17 @@ def _cmd_cache_reduce(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_cache_synthesize(cfg: RunConfig) -> int:
-    opts = cfg.options
-    K, N, t = opts.K, opts.N, opts.t
-    if t is None:
-        raise _Failure("synthesis requires --t")
-    d = _parse_demands(opts.demands, K)
-    inst, scheme, choice = synthesize_delivery_scheme(K, N, t, d, k_bits=opts.k_bits)
-    report = verify_delivery_scheme(K, N, t, d, k_bits=opts.k_bits)
-    if opts.out_instance:
-        Path(opts.out_instance).write_text(format_instance(inst))
-        print(f"wrote instance to {opts.out_instance}")
-    if opts.out_scheme:
-        Path(opts.out_scheme).write_text(format_scheme(scheme))
-        print(f"wrote scheme to {opts.out_scheme}")
+def _cmd_cache_synthesize(args: argparse.Namespace) -> int:
+    K, N, t = args.K, args.N, args.t
+    d = _parse_demands(args.demands, K)
+    inst, scheme, choice = synthesize_delivery_scheme(K, N, t, d, k_bits=args.k_bits)
+    report = verify_delivery_scheme(K, N, t, d, k_bits=args.k_bits)
+    if args.out_instance:
+        Path(args.out_instance).write_text(format_instance(inst))
+        print(f"wrote instance to {args.out_instance}")
+    if args.out_scheme:
+        Path(args.out_scheme).write_text(format_scheme(scheme))
+        print(f"wrote scheme to {args.out_scheme}")
     print(f"messages {inst.num_messages}  channel bits {inst.channel_bits}")
     print(f"load {_frac(report.load)}  [channel bits per file]")
     if report.expected_load is not None:
@@ -370,9 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("validate", help="check an instance file for well-formedness")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("--instance", required=True)
 
     p = sub.add_parser("composite-rate", help="composite-coding inner bound")
+    p.set_defaults(run=_cmd_composite_rate)
     p.add_argument("--instance", required=True)
     p.add_argument("--cap", type=int, default=None, help="cap on extra jointly-decoded messages per user")
     p.add_argument("--weights", default=None, help="comma-separated rationals: maximize the weighted rate sum")
@@ -380,18 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("linear-check", help="certify a GF(2) linear scheme")
+    p.set_defaults(run=_cmd_linear_check)
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", required=True)
 
     p = sub.add_parser("zero-error", help="per-user exact decodability of a scheme")
+    p.set_defaults(run=_cmd_zero_error)
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--mode", choices=("algebraic", "enumerate"), default="algebraic")
 
     p = sub.add_parser("mais", help="acyclic outer bound")
+    p.set_defaults(run=_cmd_mais)
     p.add_argument("--instance", required=True)
 
     p = sub.add_parser("sandwich", help="inner and outer bounds side by side")
+    p.set_defaults(run=_cmd_sandwich)
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", default=None, help="optional scheme for the achievability row")
     p.add_argument("--threads", type=int, default=1)
@@ -400,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = cache.add_subparsers(dest="cache_command", required=True)
 
     p = csub.add_parser("sim", help="place, deliver, and decode bit-exactly")
+    p.set_defaults(run=_cmd_cache_sim)
     p.add_argument("--K", type=int, required=True, help="number of users")
     p.add_argument("--N", type=int, required=True, help="number of files")
     p.add_argument("--t", type=int, default=None, help="centralized placement parameter")
@@ -413,9 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript", action="store_true", help="print the payload log")
 
     p = csub.add_parser("formulas", help="closed-form load queries")
+    p.set_defaults(run=_cmd_cache_formulas)
     p.add_argument("--query", required=True, help='e.g. "r_cman(4,2)" or "r_d_opt(3,3,1/2)"')
 
     p = csub.add_parser("reduce", help="emit the delivery phase as an index coding instance")
+    p.set_defaults(run=_cmd_cache_reduce)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -424,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="instance file to write (default stdout)")
 
     p = csub.add_parser("synthesize", help="build and certify the reduced delivery as a linear index code")
+    p.set_defaults(run=_cmd_cache_synthesize)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -435,32 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "composite-rate": _cmd_composite_rate,
-    "linear-check": _cmd_linear_check,
-    "zero-error": _cmd_zero_error,
-    "mais": _cmd_mais,
-    "sandwich": _cmd_sandwich,
-    ("cache", "sim"): _cmd_cache_sim,
-    ("cache", "formulas"): _cmd_cache_formulas,
-    ("cache", "reduce"): _cmd_cache_reduce,
-    ("cache", "synthesize"): _cmd_cache_synthesize,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one parsed invocation; returns the exit status."""
-    key = config.subcommand
-    if key == "cache":
-        key = ("cache", config.options.cache_command)
-    handler = _DISPATCH[key]
+def main(argv: list[str] | None = None) -> int:
+    """Run one invocation through its subcommand's handler; returns the exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        return handler(config)
-    except _Failure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return args.run(args)
     except (
+        _Failure,
         DomainError,
         Indivisible,
         DecodeFailure,
@@ -471,12 +436,6 @@ def run(config: RunConfig) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(args.subcommand, args.format, args)
-    return run(config)
 
 
 if __name__ == "__main__":

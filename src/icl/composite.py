@@ -41,6 +41,9 @@ from .lp import solve_lp  # noqa: F401  unused; perfbench/tracing.py wraps icl.c
 # LP columns nor the choice enumeration are tractable.
 _MAX_MESSAGES = 16
 
+# Most decoding choices any search enumerates or sweeps.
+_MAX_CHOICES = 1 << 24
+
 # Most new points the hull's pool takes per pricing sweep.  More did not
 # cut sweeps further: 200 per round gave the same counts.
 _POINTS_PER_ROUND = 64
@@ -140,27 +143,30 @@ def _option_indices(counts: Sequence[int], idx: int) -> list[int]:
     return opt
 
 
-def _choice_count(per_user: Sequence[Sequence[frozenset[int]]], max_choices: int) -> int:
-    """Number of decoding choices; SearchSpaceOverflow past max_choices."""
+def _counted_options(
+    inst: IndexCodingInstance, per_user_cap: int | None, max_choices: int
+) -> tuple[list[list[frozenset[int]]], int]:
+    """Every user's decoding options and the number of choices they make;
+    SearchSpaceOverflow past max_choices.  Validates inst first."""
+    _require_valid(inst)
+    per_user = [decoding_options(inst, j, per_user_cap) for j in range(inst.num_users)]
     total = math.prod(len(opts) for opts in per_user)
     if total > max_choices:
         raise SearchSpaceOverflow(f"{total} decoding choices exceed the limit {max_choices}")
-    return total
+    return per_user, total
 
 
 def enumerate_decoding_choices(
     inst: IndexCodingInstance,
     per_user_cap: int | None = None,
-    max_choices: int = 1 << 24,
+    max_choices: int = _MAX_CHOICES,
 ) -> Iterator[DecodingChoice]:
     """Yield every decoding choice, user-major, options in lex order.
 
     Raises SearchSpaceOverflow before yielding anything if the product
     of per-user option counts exceeds max_choices.
     """
-    _require_valid(inst)
-    per_user = [decoding_options(inst, j, per_user_cap) for j in range(inst.num_users)]
-    _choice_count(per_user, max_choices)
+    per_user, _ = _counted_options(inst, per_user_cap, max_choices)
 
     def gen() -> Iterator[DecodingChoice]:
         from itertools import product
@@ -307,6 +313,7 @@ class _PriceData:
     cvec: np.ndarray                    # [c] as lp._int_array stores it
     decomp: np.ndarray
     options: list[list[frozenset[int]]]
+    total: int                          # number of decoding choices
     blocks: list[list[np.ndarray]]      # blocks[j][o]: decoding rows for option o
     used: list[list[int]]               # used[j][o]: bitmask of S masks hit
     relax: list[tuple[np.ndarray, int]] | None = None
@@ -328,6 +335,9 @@ def _decoding_block(n: int, akmask: int, jmasks: Sequence[int]) -> tuple[np.ndar
 
 
 def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None, relax: bool = False) -> _PriceData:
+    """Count inst's choices before building any row, so an oversized
+    search raises SearchSpaceOverflow at once."""
+    options, total = _counted_options(inst, per_user_cap, _MAX_CHOICES)
     n = inst.num_messages
     width = n + (1 << n)
     decomp_rows = []
@@ -342,7 +352,6 @@ def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None, relax: b
             if p & ~amask:
                 row[n + p] = 1
         decomp_rows.append(row)
-    options = [decoding_options(inst, j, per_user_cap) for j in range(inst.num_users)]
     blocks: list[list[np.ndarray]] = []
     used: list[list[int]] = []
     for j, spec in enumerate(inst.users):
@@ -367,7 +376,7 @@ def _prepare_price(inst: IndexCodingInstance, per_user_cap: int | None, relax: b
         tails.reverse()
     c = inst.channel_bits
     decomp = np.array(decomp_rows, dtype=np.int64)
-    return _PriceData(n, c, _int_array([c]), decomp, options, blocks, used, tails)
+    return _PriceData(n, c, _int_array([c]), decomp, options, total, blocks, used, tails)
 
 
 def _solve(
@@ -555,11 +564,10 @@ def _sweep(
     data: _PriceData,
     wnum: np.ndarray | None,
     wden: int,
-    total: int,
     keep: int,
     threads: int,
 ) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
-    """The best `keep` of all `total` choices, split across forked workers.
+    """The best `keep` of all data.total choices, split across forked workers.
 
     Weighted sweeps run _price_range; the symmetric one (wnum None,
     keep 1) runs _search_range, and each worker prunes with its own
@@ -570,6 +578,7 @@ def _sweep(
         scan, head = _search_range, (data,)
     else:
         scan, head = partial(_price_range, keep=keep), (data, wnum, wden)
+    total = data.total
     if threads > 1 and total > 1:
         import multiprocessing
 
@@ -582,15 +591,18 @@ def _sweep(
     return scan(*head, 0, total)
 
 
-def _choice_at(data: _PriceData, idx: int) -> DecodingChoice:
+def _certificate(
+    data: _PriceData, idx: int, alloc: Mapping[int, Fraction]
+) -> tuple[DecodingChoice, dict[frozenset[int], Fraction]]:
+    """Choice idx, and S values keyed by message set instead of mask."""
     opt = _option_indices([len(o) for o in data.options], idx)
-    return DecodingChoice(tuple(options[o] for options, o in zip(data.options, opt)))
+    choice = DecodingChoice(tuple(options[o] for options, o in zip(data.options, opt)))
+    return choice, {frozenset(_members(p)): v for p, v in alloc.items()}
 
 
 def max_symmetric_rate(
     inst: IndexCodingInstance,
     per_user_cap: int | None = None,
-    max_choices: int = 1 << 24,
     threads: int = 1,
 ) -> CompositeResult:
     """Best symmetric composite rate over every decoding choice.
@@ -602,12 +614,9 @@ def max_symmetric_rate(
     bit.  The choices are searched by branch and bound over users
     (_search_range), which returns what the exhaustive sweep would.
     """
-    _require_valid(inst)
     data = _prepare_price(inst, per_user_cap, relax=True)
-    total = _choice_count(data.options, max_choices)
-    [(best, idx, _, alloc)] = _sweep(data, None, 1, total, 1, threads)
-    choice = _choice_at(data, idx)
-    allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
+    [(best, idx, _, alloc)] = _sweep(data, None, 1, 1, threads)
+    choice, allocation = _certificate(data, idx, alloc)
     rate = best / data.c
     if not check_certificate(inst, choice, rate, allocation):
         raise AssertionError("optimal allocation failed the certificate re-check")
@@ -682,7 +691,6 @@ def _hull_master(
 def time_shared_symmetric_rate(
     inst: IndexCodingInstance,
     per_user_cap: int | None = None,
-    max_choices: int = 1 << 24,
     threads: int = 1,
     max_rounds: int = 64,
     trace=None,
@@ -714,10 +722,7 @@ def time_shared_symmetric_rate(
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    _require_valid(inst)
     data = _prepare_price(inst, per_user_cap)
-    total = _choice_count(data.options, max_choices)
-
     n = data.n
     c = data.c
     pool: list[HullPoint] = []
@@ -728,7 +733,7 @@ def time_shared_symmetric_rate(
     converged = False
 
     for rounds in range(1, max_rounds + 1):
-        cands = _sweep(data, *_scaled_weights(weights), total, _POINTS_PER_ROUND, threads)
+        cands = _sweep(data, *_scaled_weights(weights), _POINTS_PER_ROUND, threads)
         best_value = cands[0][0]
         if best_value <= upper:
             # Report the weights that certify the bound, not the last ones.
@@ -739,8 +744,7 @@ def time_shared_symmetric_rate(
             added = False
             for value, idx, rates, alloc in cands:
                 if value > tau and rates not in pool_keys:
-                    allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
-                    pool.append(HullPoint(rates, _choice_at(data, idx), allocation))
+                    pool.append(HullPoint(rates, *_certificate(data, idx, alloc)))
                     pool_keys.add(rates)
                     added = True
             if not added:
@@ -779,7 +783,6 @@ def max_weighted_rate(
     inst: IndexCodingInstance,
     weights: Mapping[int, RationalLike],
     per_user_cap: int | None = None,
-    max_choices: int = 1 << 24,
 ) -> WeightedResult:
     """Best weighted rate sum over every decoding choice.
 
@@ -795,9 +798,7 @@ def max_weighted_rate(
     positive weight to a message no user demands: with every K_j = D_j
     nothing bounds that message's rate, so the supremum is infinite.
     """
-    _require_valid(inst)
     data = _prepare_price(inst, per_user_cap)
-    total = _choice_count(data.options, max_choices)
     stray = set(weights) - set(inst.message_ids())
     if stray:
         raise ValueError(f"weights name unknown messages {sorted(stray)}")
@@ -810,9 +811,8 @@ def max_weighted_rate(
             "weight but no user demands them"
         )
 
-    [(value, idx, point, alloc)] = _sweep(data, *_scaled_weights(w), total, 1, 1)
-    choice = _choice_at(data, idx)
-    allocation = {frozenset(_members(p)): v for p, v in alloc.items()}
+    [(value, idx, point, alloc)] = _sweep(data, *_scaled_weights(w), 1, 1)
+    choice, allocation = _certificate(data, idx, alloc)
     if not check_rate_point(inst, choice, point, allocation):
         raise AssertionError("optimal allocation failed the certificate re-check")
     rates = {i: point[i - 1] for i in inst.message_ids()}

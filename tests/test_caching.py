@@ -276,6 +276,26 @@ def test_synthesis_everything_cached_is_trivial():
         synthesize_delivery_scheme(2, 2, 2, (1, 2))
 
 
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize(
+    "K, N, d, error, match",
+    [
+        (2, 2, (5, 7), ValueError, "demanded file id out of range"),
+        (2, 2, (1,), ValueError, "demand vector names 1 users"),
+        (0, 2, (), DomainError, "K must be a positive integer"),
+        (2, 0, (1, 1), DomainError, "N must be a positive integer"),
+    ],
+)
+def test_verify_delivery_checks_arguments_at_every_t(K, N, t, d, error, match):
+    with pytest.raises(error, match=match):
+        verify_delivery_scheme(K, N, t, d)
+
+
+def test_verify_delivery_rejects_t_past_K():
+    with pytest.raises(DomainError, match=r"t must lie in \[0\.\.2\], got 3"):
+        verify_delivery_scheme(2, 2, 3, (1, 2))
+
+
 def test_synthesized_scheme_multi_bit_messages():
     inst, scheme, choice = synthesize_delivery_scheme(3, 3, 1, (1, 2, 3), k_bits=2)
     assert inst.channel_bits == 2 * (comb(3, 2) - comb(0, 2))

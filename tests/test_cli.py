@@ -434,3 +434,35 @@ def test_usage_errors_exit_2(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_unknown_scheme_name(capsys):
+    code, out, err = run_cli(
+        capsys, "linear-check", "--instance", "example1", "--scheme", "nonesuch.sch"
+    )
+    assert code == 1
+    assert out == "instance: builtin example1\n"
+    assert err == "error: no such file and no builtin scheme named 'nonesuch': nonesuch.sch\n"
+
+
+@pytest.mark.parametrize("kind", ["instance", "scheme"])
+def test_unparsable_file(tmp_path, capsys, kind):
+    path = tmp_path / "bad.txt"
+    path.write_text("garbage here\n")
+    files = {"instance": "example1", "scheme": "example2", kind: str(path)}
+    code, _, err = run_cli(
+        capsys, "linear-check", "--instance", files["instance"], "--scheme", files["scheme"]
+    )
+    assert code == 1
+    assert err == f"error: cannot parse {kind} file {path}: line 1: unrecognized line: 'garbage here'\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cache_sim_decentralized_needs_a_trial(capsys, trials):
+    code, out, err = run_cli(
+        capsys, "cache", "sim", "--K", "2", "--N", "2", "--B", "8", "--demands", "1,2",
+        "--decentralized", "--M", "1", "--trials", trials,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: decentralized simulation requires --trials >= 1, got {trials}\n"

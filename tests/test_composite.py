@@ -58,6 +58,25 @@ def test_choice_space_overflow_guard():
 @pytest.mark.parametrize(
     "call",
     [
+        max_symmetric_rate,
+        time_shared_symmetric_rate,
+        lambda inst: max_weighted_rate(inst, {1: 1}),
+    ],
+    ids=["pure", "hull", "weighted"],
+)
+def test_overflow_raises_before_building_rows(monkeypatch, call):
+    # 256 options for each of 9 users: 2^72 choices.
+    def no_block(*args):
+        raise AssertionError("no decoding block may be built")
+
+    monkeypatch.setattr("icl.composite._decoding_block", no_block)
+    with pytest.raises(SearchSpaceOverflow):
+        call(builtin_instance("no-side-info(9)"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda cap: decoding_options(EX1, 0, cap),
         lambda cap: list(enumerate_decoding_choices(EX1, cap)),
         lambda cap: max_symmetric_rate(EX1, cap),
