@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .composite import DecodingChoice
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, rref
 from .instance import IndexCodingInstance, UserSpec
 from .schemes import LinearScheme, check_scheme, zero_error_decode_check
 
@@ -336,11 +336,18 @@ def decode_all_users(
 
     Each user turns every payload into a GF(2) equation over its
     unknown (uncached) subfile symbols by XORing out the cached
-    members, then eliminates.  Symbols of different lengths are handled
-    by splitting the bit range at every distinct length and solving
-    each slice, which is exactly the bit-level system at symbol-level
-    cost.  Raises DecodeFailure naming the first user whose demanded
-    file is not fully determined.
+    members, then solves all of them with one gf2.rref.  A row packs
+    the symbol mask in its low bits and the payload's nbits-bit
+    right-hand side above them; symbols are ordered longest first.
+    Bit position b of the files is the system with every symbol of
+    length <= b zero-padded away, i.e. a suffix of the symbol columns
+    set to zero, and zeroing a suffix of columns maps the RREF onto the
+    RREF of the projection.  So one elimination is exactly the bit-level
+    system: it is inconsistent iff some reduced row's pivot lies in the
+    right-hand side or its right-hand side has a bit at or above its
+    pivot symbol's length, and a symbol is decoded iff its reduced row
+    holds no other symbol.  Raises DecodeFailure naming the first user
+    whose demanded file is not fully determined.
     """
     d = tuple(d)
     K = cache.num_users
@@ -370,62 +377,27 @@ def decode_all_users(
             eqs.append((unknown, rhs, pl.nbits))
         symbols = sorted(
             {key for unk, _, _ in eqs for key in unk},
-            key=lambda key: (key[0], len(key[1]), tuple(sorted(key[1]))),
+            key=lambda key: (-len(layout[key]), _subfile_order(key)),
         )
+        n = len(symbols)
         index = {key: i for i, key in enumerate(symbols)}
-        lens = {key: len(layout[key]) for key in symbols}
-        eq_rows = [
-            (sum(1 << index[u] for u in unk), rhs, nb) for unk, rhs, nb in eqs
+        rows = [
+            sum(1 << index[u] for u in unk) | (rhs & ((1 << nb) - 1)) << n
+            for unk, rhs, nb in eqs
         ]
-        solved = {key: 0 for key in symbols}
-        remaining = dict(lens)
-        # Slice the bit range at every distinct symbol/payload length;
-        # inside a slice every active symbol spans the full width.
-        cuts = sorted({ln for ln in lens.values()} | {nb for _, _, nb in eq_rows})
-        lo = 0
-        for hi in cuts:
-            span = hi - lo
-            span_mask = (1 << span) - 1
-            active = 0
-            for i, key in enumerate(symbols):
-                if lens[key] > lo:
-                    active |= 1 << i
-            pivots: dict[int, tuple[int, int]] = {}
-            for mask, rhs, nb in eq_rows:
-                if nb <= lo:
-                    continue
-                m = mask & active
-                r = (rhs >> lo) & span_mask
-                while m:
-                    low = (m & -m).bit_length() - 1
-                    if low in pivots:
-                        pm, pr = pivots[low]
-                        m ^= pm
-                        r ^= pr
-                    else:
-                        pivots[low] = (m, r)
-                        break
-                if m == 0 and r:
-                    raise DecodeFailure(k, "inconsistent payload equations")
-            for low in sorted(pivots, reverse=True):
-                pm, pr = pivots[low]
-                for l2 in pivots:
-                    if l2 < low and pivots[l2][0] >> low & 1:
-                        m2, r2 = pivots[l2]
-                        pivots[l2] = (m2 ^ pm, r2 ^ pr)
-            for low, (m, r) in pivots.items():
-                if m == 1 << low:
-                    key = symbols[low]
-                    solved[key] |= r << lo
-                    remaining[key] -= span
-            lo = hi
+        solved: dict[SubfileKey, int] = {}
+        for col, row in zip(*rref(rows, n + max((nb for _, _, nb in eqs), default=0))):
+            if col >= n or row >> n >> len(layout[symbols[col]]):
+                raise DecodeFailure(k, "inconsistent payload equations")
+            if row & ((1 << n) - 1) == 1 << col:
+                solved[symbols[col]] = row >> n
         fb = np.zeros(B, dtype=np.uint8)
         for key, pos in layout.items():
             if key[0] != d[k - 1]:
                 continue
             if k in key[1]:
                 val = cached[key]
-            elif key in index and remaining[key] == 0:
+            elif key in solved:
                 val = solved[key]
             else:
                 raise DecodeFailure(k, f"subfile {key[0]},{sorted(key[1])} undetermined")

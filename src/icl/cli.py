@@ -21,6 +21,7 @@ from .caching import (
     DecodeFailure,
     DomainError,
     EmptyDemand,
+    FileLibrary,
     Indivisible,
     deliver,
     decode_all_users,
@@ -227,10 +228,11 @@ def _simulate_centralized(args: argparse.Namespace) -> int:
     K, N, t, B = args.K, args.N, args.t, args.B
     if t is None:
         raise _Failure("centralized simulation requires --t")
+    mode = args.mode or "full"
     lib = random_library(N, B, seed=args.seed)
     cache, sub = cman_place(K, t, lib)
     d = _parse_demands(args.demands, K)
-    tr = deliver(sub, d, mode=args.mode)
+    tr = deliver(sub, d, mode=mode)
     decoded = decode_all_users(cache, tr, d)
     wrong = [k for k in range(1, K + 1) if decoded[k - 1] != lib.files[d[k - 1] - 1]]
     if wrong:
@@ -238,7 +240,7 @@ def _simulate_centralized(args: argparse.Namespace) -> int:
     if args.transcript:
         print(transcript_log(tr))
     if args.format == "csv":
-        print(load_csv_row(K, N, t, d, args.mode, tr.load))
+        print(load_csv_row(K, N, t, d, mode, tr.load))
     else:
         print(f"payloads {len(tr.payloads)}  total bits {tr.total_bits}")
         print(f"load {_frac(tr.load)}  [channel bits per file]")
@@ -250,13 +252,14 @@ def _simulate_decentralized(args: argparse.Namespace) -> int:
     K, N, B = args.K, args.N, args.B
     if args.M is None:
         raise _Failure("decentralized simulation requires --M")
-    if args.trials < 1:
-        raise _Failure(f"decentralized simulation requires --trials >= 1, got {args.trials}")
+    trials = 1 if args.trials is None else args.trials
+    if trials < 1:
+        raise _Failure(f"decentralized simulation requires --trials >= 1, got {trials}")
     M = _parse_fraction(args.M)
     lib = random_library(N, B, seed=args.seed)
     d = _parse_demands(args.demands, K)
     loads: list[Fraction] = []
-    for trial in range(args.trials):
+    for trial in range(trials):
         cache, sub = dman_place(K, M, lib, seed=args.seed + trial)
         tr = dman_deliver(sub, d)
         decoded = decode_all_users(cache, tr, d)
@@ -271,16 +274,21 @@ def _simulate_decentralized(args: argparse.Namespace) -> int:
     mean = sum(loads, Fraction(0)) / len(loads)
     reference = r_d_opt(K, N, M)
     if args.format != "csv":
-        print(f"mean load {_frac(mean)}  over {args.trials} seed(s)")
+        print(f"mean load {_frac(mean)}  over {trials} seed(s)")
         print(f"reference  {_frac(reference)}  [asymptotic formula]")
         print(f"all {K} users decoded bit-exactly in every trial")
     return 0
 
 
 def _cmd_cache_sim(args: argparse.Namespace) -> int:
-    if args.decentralized:
-        return _simulate_decentralized(args)
-    return _simulate_centralized(args)
+    # Options of the other placement are rejected, not silently dropped.
+    dec = args.decentralized
+    foreign = {"--t": args.t, "--mode": args.mode} if dec else {"--M": args.M, "--trials": args.trials}
+    given = [name for name, value in foreign.items() if value is not None]
+    if given:
+        placement = "decentralized" if dec else "centralized"
+        raise _Failure(f"{placement} simulation does not take {' or '.join(given)}")
+    return (_simulate_decentralized if dec else _simulate_centralized)(args)
 
 
 def _cmd_cache_formulas(args: argparse.Namespace) -> int:
@@ -292,8 +300,8 @@ def _cmd_cache_formulas(args: argparse.Namespace) -> int:
 def _cmd_cache_reduce(args: argparse.Namespace) -> int:
     K, N, t = args.K, args.N, args.t
     d = _parse_demands(args.demands, K)
-    lib = random_library(N, comb(K, t), seed=args.seed)
-    _, sub = cman_place(K, t, lib)
+    # Only the subfile layout matters here, so the file bits are all zero.
+    _, sub = cman_place(K, t, FileLibrary((0,) * N, comb(K, t)))
     c = reduced_payload_count(K, t, len(set(d)))
     inst, labels = reduce_to_index_coding(sub, d, channel_bits=max(c, 1))
     text = format_instance(inst)
@@ -386,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None, help="centralized placement parameter")
     p.add_argument("--demands", required=True, help="comma-separated file ids, one per user")
     p.add_argument("--B", type=int, required=True, help="file size in bits")
-    p.add_argument("--mode", choices=("full", "reduced"), default="full")
+    p.add_argument("--mode", choices=("full", "reduced"), default=None)
     p.add_argument("--decentralized", action="store_true")
     p.add_argument("--M", default=None, help="cache size in files (rational), decentralized only")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--transcript", action="store_true", help="print the payload log")
 
     p = csub.add_parser("formulas", help="closed-form load queries")
@@ -403,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--demands", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="instance file to write (default stdout)")
 
     p = csub.add_parser("synthesize", help="build and certify the reduced delivery as a linear index code")

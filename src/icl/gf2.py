@@ -22,20 +22,22 @@ class Gf2Matrix:
                 raise ValueError(f"row {r} has bits outside {self.cols} columns")
 
 
-def rank_of(rows: Iterable[int]) -> int:
-    """Rank of packed rows; elimination pivots on each row's lowest set bit."""
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination: pivot column -> row whose lowest set bit it is."""
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
-            low = row & -row
-            if low in pivots:
-                row ^= pivots[low]
-            else:
-                pivots[low] = row
-                rank += 1
+            col = (row & -row).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = row
                 break
-    return rank
+            row ^= pivots[col]
+    return pivots
+
+
+def rank_of(rows: Iterable[int]) -> int:
+    """Rank of packed rows; elimination pivots on each row's lowest set bit."""
+    return len(_echelon(rows))
 
 
 def rank_gf2(m: Gf2Matrix) -> int:
@@ -46,26 +48,20 @@ def rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form.
 
     Returns (pivot column indices ascending, reduced rows aligned with
-    them); each pivot column has exactly one set bit across the rows.
+    them); each pivot column has exactly one set bit across the rows,
+    and it is the lowest set bit of its own row.
     """
-    basis: dict[int, int] = {}           # pivot low-bit -> row
-    for row in rows:
-        while row:
-            low = row & -row
-            if low in basis:
-                row ^= basis[low]
-            else:
-                basis[low] = row
-                break
-    # Back-substitute so every pivot column is cleared elsewhere.
-    for low in sorted(basis, reverse=True):
-        row = basis[low]
-        for other_low in list(basis):
-            if other_low != low and basis[other_low] & low:
-                basis[other_low] ^= row
-    pivcols = sorted(low.bit_length() - 1 for low in basis)
-    reduced = [basis[1 << c] for c in pivcols]
-    return pivcols, reduced
+    basis = _echelon(rows)
+    pivcols = sorted(basis)
+    # Back-substitute, highest pivot first, so every pivot column is
+    # cleared elsewhere; only rows with a lower pivot can hold it.
+    for i in range(len(pivcols) - 1, 0, -1):
+        c = pivcols[i]
+        row = basis[c]
+        for lower in pivcols[:i]:
+            if basis[lower] >> c & 1:
+                basis[lower] ^= row
+    return pivcols, [basis[c] for c in pivcols]
 
 
 def nullspace(rows: Sequence[int], cols: int, allowed: int | None = None) -> list[int]:

@@ -1,5 +1,6 @@
 """Coded caching: placement, delivery, decoding, loads, reduction."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +13,7 @@ from icl.caching import (
     DomainError,
     EmptyDemand,
     Indivisible,
+    Payload,
     canonical_worst_demand,
     cman_place,
     decode_all_users,
@@ -328,3 +330,118 @@ def test_transcript_log_format():
 def test_csv_row_format():
     row = load_csv_row(4, 2, 1, (1, 2, 1, 2), "reduced", Fraction(5, 4))
     assert row == "4,2,1,1-2-1-2,reduced,5,4"
+
+
+def _decode_bit_by_bit(cache, transcript, d):
+    """Reference decoder: one GF(2) system per file bit position b.
+
+    The unknowns at b are the uncached symbols longer than b, the
+    equations the payloads with nbits > b, each with a one-bit right-hand
+    side.  Returns the decoded files, or (user, kind) for the first user
+    whose systems are inconsistent or leave a demanded bit open.
+    """
+    out = []
+    for k in range(1, cache.num_users + 1):
+        cached = cache.contents[k - 1]
+        eqs = []
+        for pl in transcript.payloads:
+            rhs, unknown = pl.bits, []
+            for s in pl.users:
+                key = (d[s - 1], pl.users - {s})
+                if key in cached:
+                    rhs ^= cached[key]
+                elif key in cache.layout:
+                    unknown.append(key)
+            eqs.append((unknown, rhs, pl.nbits))
+        symbols = sorted({key for unk, _, _ in eqs for key in unk}, key=repr)
+        length = {key: len(cache.layout[key]) for key in symbols}
+        width = max([nb for _, _, nb in eqs] + list(length.values()), default=0)
+        value = dict.fromkeys(symbols, 0)
+        known = {key: set() for key in symbols}
+        for b in range(width):
+            # Pivot on the highest symbol index; rows are (mask, rhs bit).
+            basis = {}
+            for unk, rhs, nb in eqs:
+                if nb <= b:
+                    continue
+                m = sum(1 << i for i, key in enumerate(symbols) if key in unk and length[key] > b)
+                r = rhs >> b & 1
+                while m and m.bit_length() - 1 in basis:
+                    pm, pr = basis[m.bit_length() - 1]
+                    m, r = m ^ pm, r ^ pr
+                if m:
+                    basis[m.bit_length() - 1] = (m, r)
+                elif r:
+                    return k, "inconsistent"
+            for top in sorted(basis):
+                m, r = basis[top]
+                for other in basis:
+                    if other > top and basis[other][0] >> top & 1:
+                        basis[other] = (basis[other][0] ^ m, basis[other][1] ^ r)
+            for top, (m, r) in basis.items():
+                if m == 1 << top:
+                    value[symbols[top]] |= r << b
+                    known[symbols[top]].add(b)
+        bits = np.zeros(transcript.file_bits, dtype=np.uint8)
+        for key, pos in cache.layout.items():
+            if key[0] != d[k - 1]:
+                continue
+            if key in cached:
+                val = cached[key]
+            elif key in known and len(known[key]) == len(pos):
+                val = value[key]
+            else:
+                return k, "undetermined"
+            bits[pos] = [val >> j & 1 for j in range(len(pos))]
+        out.append(sum(int(bit) << j for j, bit in enumerate(bits)))
+    return out
+
+
+def _corrupted_transcripts(seed):
+    """Small random deliveries, clean or with one payload corrupted."""
+    rng = np.random.default_rng(seed)
+    while True:
+        K = int(rng.integers(2, 6))
+        N = int(rng.integers(1, 4))
+        d = tuple(int(x) for x in rng.integers(1, N + 1, size=K))
+        if rng.random() < 0.5:
+            t = int(rng.integers(0, K))
+            chunk = int(rng.integers(1, 60 // comb(K, t) + 1))
+            lib = random_library(N, chunk * comb(K, t), seed=int(rng.integers(1 << 30)))
+            cache, sub = cman_place(K, t, lib)
+            tr = deliver(sub, d, mode=str(rng.choice(["full", "reduced"])))
+        else:
+            M = Fraction(int(rng.integers(1, 2 * N)), 2)
+            lib = random_library(N, int(rng.integers(1, 61)), seed=int(rng.integers(1 << 30)))
+            cache, sub = dman_place(K, M, lib, seed=int(rng.integers(1 << 30)))
+            tr = dman_deliver(sub, d)
+        payloads = list(tr.payloads)
+        if payloads:
+            i = int(rng.integers(len(payloads)))
+            p = payloads[i]
+            flipped = Payload(p.users, p.bits ^ 1 << int(rng.integers(p.nbits)), p.nbits)
+            how = int(rng.integers(4))
+            if how == 1:
+                payloads[i] = flipped
+            elif how == 2:
+                del payloads[i]
+            elif how == 3:
+                payloads.insert(int(rng.integers(len(payloads) + 1)), flipped)
+        yield cache, replace(tr, payloads=tuple(payloads)), d, lib
+
+
+def test_decode_matches_bit_by_bit_reference():
+    cases = _corrupted_transcripts(2024)
+    outcomes = set()
+    for _ in range(250):
+        cache, tr, d, lib = next(cases)
+        expected = _decode_bit_by_bit(cache, tr, d)
+        try:
+            got = decode_all_users(cache, tr, d)
+        except DecodeFailure as exc:
+            kind = "inconsistent" if "inconsistent" in str(exc) else "undetermined"
+            got = (exc.user, kind)
+        assert got == expected, (d, tr)
+        outcomes.add(expected[1] if isinstance(expected, tuple) else expected == [lib.files[i - 1] for i in d])
+    # Clean decodes, wrong decodes and both kinds of failure all occur.
+    assert outcomes == {True, False, "inconsistent", "undetermined"}

@@ -466,3 +466,32 @@ def test_cache_sim_decentralized_needs_a_trial(capsys, trials):
     assert code == 1
     assert out == ""
     assert err == f"error: decentralized simulation requires --trials >= 1, got {trials}\n"
+
+
+def test_cache_reduce_has_no_seed(capsys):
+    # The reduced instance depends on the subfile layout only, never on file bits.
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "reduce", "--K", "3", "--N", "3", "--t", "1", "--demands", "1,2,3", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, err",
+    [
+        (["--decentralized", "--M", "1", "--t", "1"], "decentralized simulation does not take --t"),
+        (["--decentralized", "--M", "1", "--mode", "full"], "decentralized simulation does not take --mode"),
+        (
+            ["--decentralized", "--M", "1", "--t", "1", "--mode", "reduced"],
+            "decentralized simulation does not take --t or --mode",
+        ),
+        (["--t", "1", "--M", "1"], "centralized simulation does not take --M"),
+        (["--t", "1", "--trials", "1"], "centralized simulation does not take --trials"),
+        (["--t", "1", "--M", "1", "--trials", "2"], "centralized simulation does not take --M or --trials"),
+    ],
+)
+def test_cache_sim_rejects_the_other_placements_options(capsys, extra, err):
+    code, out, stderr = run_cli(capsys, "cache", "sim", "--K", "2", "--N", "2", "--B", "8", "--demands", "1,2", *extra)
+    assert code == 1
+    assert out == ""
+    assert stderr == f"error: {err}\n"

@@ -409,6 +409,22 @@ def test_pure_threads_match_serial_on_random_instances(case):
     assert forked == serial and repr(forked) == repr(serial)
 
 
+@settings(max_examples=25)
+@given(_search_cases(max_choices=64))
+def test_hull_threads_match_serial_on_random_instances(case):
+    inst, cap, _, _ = case
+
+    def outcome(threads):
+        # A message known but demanded by nobody makes the hull's LPs
+        # unbounded, a known fault; both paths must then fail alike.
+        try:
+            return repr(time_shared_symmetric_rate(inst, cap, threads=threads))
+        except AssertionError as exc:
+            return f"AssertionError: {exc}"
+
+    assert outcome(2) == outcome(1)
+
+
 def test_threads_match_serial():
     inst = builtin_instance("no-side-info(3)")
     assert max_symmetric_rate(inst, threads=2) == max_symmetric_rate(inst)

@@ -29,12 +29,33 @@ def test_rank_gf2_wraps_rank_of():
     assert rank_gf2(m) == 2
 
 
+def _random_rows(rng, cols, nrows):
+    """Rows of up to `cols` bits, some of them sums of others."""
+    base = [int.from_bytes(rng.bytes(cols // 8 + 1), "little") % (1 << cols) for _ in range(nrows)]
+    for i in range(len(base)):
+        if rng.random() < 0.3:
+            for j in rng.choice(len(base), size=2):
+                base[i] ^= base[j]
+    return base
+
+
 def test_rref_pivots_and_reduction():
-    pivots, rows = rref([0b110, 0b011, 0b101], 3)
-    assert len(pivots) == 2
-    # Every pivot column appears in exactly one reduced row.
-    for p in pivots:
-        assert sum(1 for r in rows if r >> p & 1) == 1
+    cases = [([0b110, 0b011, 0b101], 3)]
+    rng = np.random.default_rng(11)
+    for cols in (1, 5, 63, 64, 65, 130, 300):
+        cases += [(_random_rows(rng, cols, int(rng.integers(0, 12))), cols) for _ in range(8)]
+    for rows, cols in cases:
+        pivots, reduced = rref(rows, cols)
+        assert pivots == sorted(set(pivots))
+        assert len(pivots) == rank_of(rows)
+        # The reduced rows span the input rows.
+        assert rank_of(list(rows) + reduced) == len(pivots)
+        for p, r in zip(pivots, reduced):
+            # A reduced row's lowest set bit is its pivot ...
+            assert r & -r == 1 << p
+            # ... and no other reduced row has a bit in that column.
+            assert sum(1 for other in reduced if other >> p & 1) == 1
+    assert len(rref(*cases[0])[0]) == 2
 
 
 def test_nullspace_vectors_annihilate_rows():
