@@ -29,6 +29,7 @@ from .composite import (
     DecodingChoice,
     HullPoint,
     HullResult,
+    InvalidDecodingSet,
     SearchSpaceOverflow,
     build_composite_lp,
     check_certificate,
@@ -41,7 +42,6 @@ from .composite import (
 from .gf2 import Gf2Matrix, nullspace, rank_gf2, rref
 from .schemes import (
     EnumerationTooLarge,
-    InvalidDecodingSet,
     LinearScheme,
     SchemeVerdict,
     builtin_scheme,

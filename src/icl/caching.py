@@ -21,11 +21,11 @@ payload set into a certified GF(2) linear index code.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -208,6 +208,15 @@ def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState
             values[key] = _pack_bits(fb[pos])
     subfiles = SubfileMap(K, library.num_files, B, positions, values, placement_t=t)
     return _with_caches(subfiles, Fraction(t * library.num_files, K), f"centralized(t={t})")
+
+
+def centralized_layout(num_users: int, num_files: int, t: int) -> SubfileMap:
+    """Centralized placement's subfile map with one bit per subfile.
+
+    The files are all zero: the reduction and the synthesized delivery
+    read subfile positions only, never file bits.
+    """
+    return cman_place(num_users, t, FileLibrary((0,) * num_files, comb(num_users, t)))[1]
 
 
 def dman_place(
@@ -607,45 +616,29 @@ def synthesize_delivery_scheme(
 ) -> tuple[IndexCodingInstance, LinearScheme, DecodingChoice]:
     """Reduced centralized delivery as a certified linear index code.
 
-    Builds the reduction instance for centralized placement with
-    parameter t and demand d (every message carries k_bits bits), one
-    XOR composite per reduced-mode payload, channel size
-    c = k_bits * (binom(K,t+1) - binom(K-|N(d)|,t+1)), and the decoding
-    choice K_j = D_j.  Raises DomainError for t = K, where nothing
-    needs delivering.
+    The instance is reduce_to_index_coding's on centralized_layout(K,
+    N, t) and demand d, every message carrying k_bits bits, with channel
+    size c = k_bits * (binom(K,t+1) - binom(K-|N(d)|,t+1)) from the
+    closed form.  The scheme has one XOR composite per reduced-mode
+    payload, over the messages of that payload's subfiles, and the
+    decoding choice is K_j = D_j.  Raises DomainError for t = K, where
+    nothing needs delivering.
     """
     d = _check_delivery(K, N, t, d, k_bits)
     if t == K:
         raise DomainError("t = K leaves nothing to deliver; there is no scheme to build")
-    nd = sorted(set(d))
-    keys = [(i, frozenset(W)) for i in nd for W in combinations(range(1, K + 1), t)]
-    ids = {key: mid for mid, key in enumerate(keys, start=1)}
-    c = k_bits * reduced_payload_count(K, t, len(nd))
-    specs = tuple(
-        UserSpec(
-            frozenset(ids[key] for key in keys if key[0] == d[k - 1] and k not in key[1]),
-            frozenset(ids[key] for key in keys if k in key[1]),
-        )
-        for k in range(1, K + 1)
-    )
-    inst = IndexCodingInstance(len(keys), specs, c)
-    total = len(keys) * k_bits
-    lead = leaders(d)
+    layout = centralized_layout(K, N, t)
+    c = k_bits * reduced_payload_count(K, t, len(set(d)))
+    inst, labels = reduce_to_index_coding(layout, d, channel_bits=c)
+    ids = {key: mid for mid, key in labels.by_id.items()}
+    total = inst.num_messages * k_bits
     composites: list[tuple[frozenset[int], Gf2Matrix]] = []
-    for S in combinations(range(1, K + 1), t + 1):
-        if lead.isdisjoint(S):
-            continue
-        members = [(d[s - 1], frozenset(S) - {s}) for s in S]
-        P = frozenset(ids[mk] for mk in members)
-        rows = []
-        for r in range(k_bits):
-            row = 0
-            for mk in members:
-                row |= 1 << ((ids[mk] - 1) * k_bits + r)
-            rows.append(row)
-        composites.append((P, Gf2Matrix(tuple(rows), total)))
-    scheme = LinearScheme((k_bits,) * len(keys), c, tuple(composites))
-    choice = DecodingChoice(tuple(spec.demands for spec in specs))
+    for pl in _group_payloads(layout, d, t, leaders(d)):
+        P = frozenset(ids[d[s - 1], pl.users - {s}] for s in pl.users)
+        rows = tuple(sum(1 << ((i - 1) * k_bits + r) for i in P) for r in range(k_bits))
+        composites.append((P, Gf2Matrix(rows, total)))
+    scheme = LinearScheme((k_bits,) * inst.num_messages, c, tuple(composites))
+    choice = DecodingChoice(tuple(spec.demands for spec in inst.users))
     return inst, scheme, choice
 
 

@@ -14,19 +14,18 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 from .caching import (
     DecodeFailure,
     DomainError,
     EmptyDemand,
-    FileLibrary,
     Indivisible,
     deliver,
     decode_all_users,
     dman_deliver,
     dman_place,
+    centralized_layout,
     cman_place,
     formula_loads,
     load_csv_row,
@@ -50,6 +49,7 @@ from .instance import (
     builtin_instance,
     format_instance,
     parse_instance,
+    require_valid_instance,
     validate_instance,
 )
 from .outer import acyclic_symmetric_bound
@@ -117,6 +117,20 @@ def _parse_fraction(text: str) -> Fraction:
         raise _Failure(f"not a rational number: {text!r}")
 
 
+def _time_shared(inst: IndexCodingInstance, **kwargs):
+    """time_shared_symmetric_rate, refusing messages that no user demands."""
+    require_valid_instance(inst)
+    demanded = set().union(*(spec.demands for spec in inst.users))
+    undemanded = sorted(set(inst.message_ids()) - demanded)
+    if undemanded:
+        raise _Failure(
+            f"messages {undemanded} are known but demanded by no user, which the "
+            "time-shared rate does not support; composite-rate --pure gives the "
+            "single-choice rate"
+        )
+    return time_shared_symmetric_rate(inst, **kwargs)
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     problems = validate_instance(inst)
@@ -154,7 +168,7 @@ def _cmd_composite_rate(args: argparse.Namespace) -> int:
         sets = ", ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in res.best_choice.sets)
         print(f"choice: {sets}")
         return 0
-    res = time_shared_symmetric_rate(inst, per_user_cap=args.cap, threads=args.threads)
+    res = _time_shared(inst, per_user_cap=args.cap, threads=args.threads)
     print(f"rate {_frac(res.symmetric_rate)}  [per channel bit, time-shared]")
     print(
         f"upper bound {_frac(res.upper_bound)}  converged {res.converged}  "
@@ -202,7 +216,7 @@ def _cmd_mais(args: argparse.Namespace) -> int:
 def _cmd_sandwich(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     rows: list[tuple[str, str]] = []
-    hull = time_shared_symmetric_rate(inst, threads=args.threads)
+    hull = _time_shared(inst, threads=args.threads)
     rows.append(("composite inner bound (time-shared)", _frac(hull.symmetric_rate)))
     failed = False
     if args.scheme:
@@ -300,10 +314,8 @@ def _cmd_cache_formulas(args: argparse.Namespace) -> int:
 def _cmd_cache_reduce(args: argparse.Namespace) -> int:
     K, N, t = args.K, args.N, args.t
     d = _parse_demands(args.demands, K)
-    # Only the subfile layout matters here, so the file bits are all zero.
-    _, sub = cman_place(K, t, FileLibrary((0,) * N, comb(K, t)))
     c = reduced_payload_count(K, t, len(set(d)))
-    inst, labels = reduce_to_index_coding(sub, d, channel_bits=max(c, 1))
+    inst, labels = reduce_to_index_coding(centralized_layout(K, N, t), d, channel_bits=max(c, 1))
     text = format_instance(inst)
     if args.out:
         Path(args.out).write_text(text)

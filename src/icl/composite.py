@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .instance import IndexCodingInstance, validate_instance
+from .instance import IndexCodingInstance, require_valid_instance
 from .lp import OPTIMAL, Constraint, LinearProgram, _int_array, _simplex, _Tableau
 from .lp import solve_lp  # noqa: F401  unused; perfbench/tracing.py wraps icl.composite.solve_lp
 
@@ -53,6 +53,10 @@ RationalLike = Fraction | int
 
 class SearchSpaceOverflow(Exception):
     """The decoding-choice product or variable count exceeds the limit."""
+
+
+class InvalidDecodingSet(ValueError):
+    """A decoding set violates D <= K <= messages minus A."""
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,7 @@ def _subsets_of(mask: int) -> Iterator[int]:
 
 
 def _require_valid(inst: IndexCodingInstance) -> None:
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
+    require_valid_instance(inst)
     if inst.num_messages > _MAX_MESSAGES:
         raise SearchSpaceOverflow(
             f"{inst.num_messages} messages: composite enumeration needs 2^N variables"
@@ -177,13 +179,18 @@ def enumerate_decoding_choices(
     return gen()
 
 
+def check_decoding_set(inst: IndexCodingInstance, user: int, K: frozenset[int]) -> None:
+    """Raise InvalidDecodingSet unless D <= K <= messages minus A for user (1-based)."""
+    spec = inst.users[user - 1]
+    if not spec.demands <= K <= set(inst.message_ids()) - spec.knows:
+        raise InvalidDecodingSet(f"user {user}: decoding set must satisfy D <= K <= messages minus A")
+
+
 def _check_choice(inst: IndexCodingInstance, choice: DecodingChoice) -> None:
     if len(choice.sets) != inst.num_users:
         raise ValueError("choice must name one decoding set per user")
-    full = set(inst.message_ids())
-    for j, (spec, K) in enumerate(zip(inst.users, choice.sets), start=1):
-        if not (spec.demands <= K and K <= full - spec.knows):
-            raise ValueError(f"user {j}: decoding set must satisfy D <= K <= messages minus A")
+    for j, K in enumerate(choice.sets, start=1):
+        check_decoding_set(inst, j, K)
 
 
 def _var_name(subset: tuple[int, ...]) -> str:

@@ -89,6 +89,13 @@ def validate_instance(inst: IndexCodingInstance) -> list[str]:
     return problems
 
 
+def require_valid_instance(inst: IndexCodingInstance) -> None:
+    """Raise ValueError listing every problem validate_instance finds."""
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("invalid instance: " + "; ".join(problems))
+
+
 def build_side_info_graph(inst: IndexCodingInstance) -> SideInfoGraph:
     """Build the side-information digraph of a multiple-unicast instance.
 

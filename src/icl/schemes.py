@@ -22,15 +22,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .composite import DecodingChoice
+from .composite import DecodingChoice, InvalidDecodingSet, _check_choice, check_decoding_set
 from .gf2 import Gf2Matrix, nullspace, rank_of
-from .instance import IndexCodingInstance, UnknownName, validate_instance
+from .instance import IndexCodingInstance, UnknownName, require_valid_instance
 
 _ENUM_LIMIT = 20
-
-
-class InvalidDecodingSet(Exception):
-    """A decoding set violates D <= K <= messages minus A."""
 
 
 class EnumerationTooLarge(Exception):
@@ -105,19 +101,6 @@ def conditional_entropy(scheme: LinearScheme, known: Iterable[int] = ()) -> int:
     return _entropy(scheme.global_rows(), scheme.offsets(), known)
 
 
-def _check_decoding_set(
-    inst: IndexCodingInstance, user: int, K: frozenset[int], J: Iterable[int] | None = None
-) -> None:
-    spec = inst.users[user - 1]
-    full = set(inst.message_ids())
-    if not (spec.demands <= K and K <= full - spec.knows):
-        raise InvalidDecodingSet(f"user {user}: need D <= K <= messages minus A")
-    if J is not None:
-        jset = frozenset(J)
-        if not jset or not jset <= K or not (jset & spec.demands):
-            raise InvalidDecodingSet(f"user {user}: need nonempty J <= K meeting D")
-
-
 def kappa(
     inst: IndexCodingInstance,
     scheme: LinearScheme,
@@ -127,12 +110,14 @@ def kappa(
 ) -> int:
     """Decoding capacity available to user (1-based) for message set J."""
     _require_wellformed(scheme, inst.num_messages)
-    kset = frozenset(K)
-    _check_decoding_set(inst, user, kset, J)
+    kset, jset = frozenset(K), frozenset(J)
+    check_decoding_set(inst, user, kset)
     spec = inst.users[user - 1]
+    if not jset or not jset <= kset or not jset & spec.demands:
+        raise InvalidDecodingSet(f"user {user}: need nonempty J <= K meeting D")
     ak = spec.knows | kset
     rows, off = scheme.global_rows(), scheme.offsets()
-    return _entropy(rows, off, ak - frozenset(J)) - _entropy(rows, off, ak)
+    return _entropy(rows, off, ak - jset) - _entropy(rows, off, ak)
 
 
 @dataclass(frozen=True)
@@ -162,14 +147,11 @@ def check_scheme(
     With choice omitted, K_j = D_j for every user.  The symmetric rate
     is min over demanded messages of L_i, per channel bit.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
+    require_valid_instance(inst)
     _require_wellformed(scheme, inst.num_messages)
     if choice is None:
         choice = DecodingChoice(tuple(spec.demands for spec in inst.users))
-    if len(choice.sets) != inst.num_users:
-        raise ValueError("choice must name one decoding set per user")
+    _check_choice(inst, choice)
 
     c = scheme.channel_bits
     rows, off = scheme.global_rows(), scheme.offsets()
@@ -177,7 +159,6 @@ def check_scheme(
     channel_ok = []
     mac: list[dict[frozenset[int], tuple[int, bool]]] = []
     for user, (spec, K) in enumerate(zip(inst.users, choice.sets), start=1):
-        _check_decoding_set(inst, user, K)
         use = _entropy(rows, off, spec.knows)
         channel_use.append(use)
         channel_ok.append(use <= c)
@@ -214,9 +195,7 @@ def zero_error_decode_check(
     fixed to zero, which is lossless for linear X) and confirm X
     determines the demanded bits; refuses above 2^20 inputs.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
+    require_valid_instance(inst)
     _require_wellformed(scheme, inst.num_messages)
     if mode not in ("algebraic", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")

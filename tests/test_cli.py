@@ -495,3 +495,107 @@ def test_cache_sim_rejects_the_other_placements_options(capsys, extra, err):
     assert code == 1
     assert out == ""
     assert stderr == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "K, N, t, demands, k_bits, stdout, instance, scheme",
+    [
+        (
+            4, 2, 1, "1,2,1,2", 1,
+            "messages 8  channel bits 5\n"
+            "load 5/4 (1.250000)  [channel bits per file]\n"
+            "closed form 5/4 (1.250000)\n"
+            "PASS\n",
+            "messages 8\nchannel_bits 5\n"
+            "user 1 demands 2 3 4 knows 1 5\n"
+            "user 2 demands 5 7 8 knows 2 6\n"
+            "user 3 demands 1 2 4 knows 3 7\n"
+            "user 4 demands 5 6 7 knows 4 8\n",
+            "channel_bits 5\nmsg_bits 1 1 1 1 1 1 1 1\n"
+            "composite 2,5 row 01001000\n"
+            "composite 1,3 row 10100000\n"
+            "composite 4,5 row 00011000\n"
+            "composite 2,7 row 01000010\n"
+            "composite 6,8 row 00000101\n",
+        ),
+        (
+            3, 3, 0, "1,2,3", 1,
+            "messages 3  channel bits 3\n"
+            "load 3/1 (3.000000)  [channel bits per file]\n"
+            "closed form 3/1 (3.000000)\n"
+            "PASS\n",
+            "messages 3\nchannel_bits 3\n"
+            "user 1 demands 1 knows\n"
+            "user 2 demands 2 knows\n"
+            "user 3 demands 3 knows\n",
+            "channel_bits 3\nmsg_bits 1 1 1\n"
+            "composite 1 row 100\n"
+            "composite 2 row 010\n"
+            "composite 3 row 001\n",
+        ),
+        (
+            3, 2, 2, "1,1,2", 2,
+            "messages 6  channel bits 2\n"
+            "load 1/3 (0.333333)  [channel bits per file]\n"
+            "closed form 1/3 (0.333333)\n"
+            "PASS\n",
+            "messages 6\nchannel_bits 2\n"
+            "user 1 demands 3 knows 1 2 4 5\n"
+            "user 2 demands 2 knows 1 3 4 6\n"
+            "user 3 demands 4 knows 2 3 5 6\n",
+            "channel_bits 2\nmsg_bits 2 2 2 2 2 2\n"
+            "composite 2,3,4 row 001010100000\n"
+            "composite 2,3,4 row 000101010000\n",
+        ),
+    ],
+)
+def test_cache_synthesize_output_is_pinned(tmp_path, capsys, K, N, t, demands, k_bits, stdout, instance, scheme):
+    inst_path = tmp_path / "delivery.ic"
+    sch_path = tmp_path / "delivery.sch"
+    code, out, err = run_cli(
+        capsys, "cache", "synthesize", "--K", str(K), "--N", str(N), "--t", str(t),
+        "--demands", demands, "--k-bits", str(k_bits),
+        "--out-instance", str(inst_path), "--out-scheme", str(sch_path),
+    )
+    assert (code, err) == (0, "")
+    assert out == f"wrote instance to {inst_path}\nwrote scheme to {sch_path}\n" + stdout
+    assert inst_path.read_text() == instance
+    assert sch_path.read_text() == scheme
+
+
+def test_cache_reduce_stdout_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "cache", "reduce", "--K", "4", "--N", "4", "--t", "3", "--demands", "1,2,3,4")
+    assert (code, err) == (0, "")
+    labels = "".join(
+        f"# message {4 * (i - 1) + w + 1} = subfile file={i} cached_by={{{W}}}\n"
+        for i in range(1, 5)
+        for w, W in enumerate(("1,2,3", "1,2,4", "1,3,4", "2,3,4"))
+    )
+    assert out == (
+        "messages 16\nchannel_bits 1\n"
+        "user 1 demands 4 knows 1 2 3 5 6 7 9 10 11 13 14 15\n"
+        "user 2 demands 7 knows 1 2 4 5 6 8 9 10 12 13 14 16\n"
+        "user 3 demands 10 knows 1 3 4 5 7 8 9 11 12 13 15 16\n"
+        "user 4 demands 13 knows 2 3 4 6 7 8 10 11 12 14 15 16\n"
+        + labels
+        + "# user map: 1->1, 2->2, 3->3, 4->4\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["composite-rate", "sandwich"])
+def test_time_shared_rate_refuses_undemanded_messages(tmp_path, capsys, command):
+    # Message 6 (file 2 cached by user 3) is known by user 3 and demanded by nobody.
+    path = tmp_path / "r.ic"
+    code, _, _ = run_cli(
+        capsys, "cache", "reduce", "--K", "3", "--N", "2", "--t", "1", "--demands", "1,1,2", "--out", str(path)
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, command, "--instance", str(path))
+    assert (code, out) == (1, f"instance: {path}\n")
+    assert err == (
+        "error: messages [6] are known but demanded by no user, which the time-shared rate "
+        "does not support; composite-rate --pure gives the single-choice rate\n"
+    )
+    code, out, _ = run_cli(capsys, "composite-rate", "--instance", str(path), "--pure")
+    assert code == 0
+    assert "rate 1/3 (0.333333)  [per channel bit]" in out

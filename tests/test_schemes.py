@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from icl.composite import DecodingChoice, max_symmetric_rate
+import icl
+from icl.composite import DecodingChoice, build_composite_lp, check_rate_point, max_symmetric_rate
 from icl.gf2 import Gf2Matrix
 from icl.instance import builtin_instance
 from icl.schemes import (
     EnumerationTooLarge,
+    InvalidDecodingSet,
     LinearScheme,
     builtin_scheme,
     check_scheme,
@@ -116,3 +118,37 @@ def test_composite_allocation_embedding_no_side_info():
     assert verdict.passed
     assert verdict.symmetric_rate == Fraction(1, 3)
     assert all(zero_error_decode_check(inst, scheme, mode="enumerate"))
+
+
+def _user1_decodes(K):
+    return DecodingChoice((K,) + tuple(spec.demands for spec in EX1.users[1:]))
+
+
+# Example 1's user 1 demands {1} and knows {3, 4}.
+@pytest.mark.parametrize("K", [frozenset({2}), frozenset({1, 3})], ids=["misses-demand", "meets-side-info"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K: check_scheme(EX1, EX2, _user1_decodes(K)),
+        lambda K: kappa(EX1, EX2, 1, {1}, K),
+        lambda K: check_rate_point(EX1, _user1_decodes(K), [Fraction(0)] * 6, {}),
+        lambda K: build_composite_lp(EX1, _user1_decodes(K)),
+    ],
+    ids=["check_scheme", "kappa", "check_rate_point", "build_composite_lp"],
+)
+def test_bad_decoding_set_raises_invalid_decoding_set(call, K):
+    with pytest.raises(ValueError) as exc:
+        call(K)
+    assert type(exc.value) is InvalidDecodingSet
+    assert str(exc.value) == "user 1: decoding set must satisfy D <= K <= messages minus A"
+
+
+@pytest.mark.parametrize("J", [(), (5,), (2,)], ids=["empty", "outside-K", "misses-demand"])
+def test_kappa_rejects_bad_message_sets(J):
+    with pytest.raises(InvalidDecodingSet, match="^user 1: need nonempty J <= K meeting D$"):
+        kappa(EX1, EX2, 1, J, {1, 2})
+
+
+def test_invalid_decoding_set_is_one_class():
+    assert icl.InvalidDecodingSet is InvalidDecodingSet is icl.composite.InvalidDecodingSet
+    assert issubclass(InvalidDecodingSet, ValueError)
