@@ -14,8 +14,9 @@ Subfile bit values are packed integers, bit j of the value being the
 file bit at the j-th position of the subfile's position array (both
 little-endian).  The delivery phase for a fixed placement and demand
 vector is itself an index coding problem; reduce_to_index_coding
-materializes it, and synthesize_delivery_scheme turns the reduced
-payload set into a certified GF(2) linear index code.
+materializes it, reduced_delivery builds it for centralized placement,
+and synthesize_delivery_scheme turns the reduced payload set into a
+certified GF(2) linear index code.
 """
 
 from __future__ import annotations
@@ -61,15 +62,11 @@ SubfileKey = tuple[int, frozenset[int]]   # (file id, cached-by user set)
 
 def _pack_bits(bits: np.ndarray) -> int:
     """Little-endian: bit j of the result is bits[j]."""
-    if bits.size == 0:
-        return 0
     raw = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
     return int.from_bytes(raw.tobytes(), "little")
 
 
 def _unpack_bits(value: int, length: int) -> np.ndarray:
-    if length == 0:
-        return np.zeros(0, dtype=np.uint8)
     raw = value.to_bytes((length + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little", count=length)
 
@@ -105,7 +102,7 @@ class SubfileMap:
     positions[(i, W)] lists file i's bit positions held exactly by the
     users in W; values[(i, W)] packs those bits.  Subfiles with no bits
     do not appear.  placement_t is the centralized parameter (None for
-    decentralized placement, which records its seed instead).
+    decentralized placement).
     """
 
     num_users: int
@@ -114,7 +111,6 @@ class SubfileMap:
     positions: dict[SubfileKey, np.ndarray]
     values: dict[SubfileKey, int]
     placement_t: int | None = None
-    seed: int | None = None
 
     def length(self, key: SubfileKey) -> int:
         pos = self.positions.get(key)
@@ -132,7 +128,6 @@ class CacheState:
 
     num_users: int
     cache_files: Fraction
-    placement: str
     layout: dict[SubfileKey, np.ndarray]
     contents: tuple[dict[SubfileKey, int], ...]
 
@@ -170,15 +165,13 @@ def leaders(d: Iterable[int]) -> frozenset[int]:
     return frozenset(first.values())
 
 
-def _with_caches(
-    subfiles: SubfileMap, cache_files: Fraction, placement: str
-) -> tuple[CacheState, SubfileMap]:
+def _with_caches(subfiles: SubfileMap, cache_files: Fraction) -> tuple[CacheState, SubfileMap]:
     """Each user caches every subfile whose cached-by set holds it."""
     K = subfiles.num_users
     contents = tuple(
         {key: v for key, v in subfiles.values.items() if k in key[1]} for k in range(1, K + 1)
     )
-    return CacheState(K, cache_files, placement, subfiles.positions, contents), subfiles
+    return CacheState(K, cache_files, subfiles.positions, contents), subfiles
 
 
 def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState, SubfileMap]:
@@ -207,16 +200,7 @@ def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState
             positions[key] = pos
             values[key] = _pack_bits(fb[pos])
     subfiles = SubfileMap(K, library.num_files, B, positions, values, placement_t=t)
-    return _with_caches(subfiles, Fraction(t * library.num_files, K), f"centralized(t={t})")
-
-
-def centralized_layout(num_users: int, num_files: int, t: int) -> SubfileMap:
-    """Centralized placement's subfile map with one bit per subfile.
-
-    The files are all zero: the reduction and the synthesized delivery
-    read subfile positions only, never file bits.
-    """
-    return cman_place(num_users, t, FileLibrary((0,) * num_files, comb(num_users, t)))[1]
+    return _with_caches(subfiles, Fraction(t * library.num_files, K))
 
 
 def dman_place(
@@ -258,8 +242,14 @@ def dman_place(
             key = (i, W)
             positions[key] = pos
             values[key] = _pack_bits(fb[pos])
-    subfiles = SubfileMap(K, N, B, positions, values, seed=seed)
-    return _with_caches(subfiles, M, f"decentralized(seed={seed})")
+    subfiles = SubfileMap(K, N, B, positions, values)
+    return _with_caches(subfiles, M)
+
+
+def _payload_keys(users: frozenset[int], d: tuple[int, ...]) -> list[SubfileKey]:
+    """The subfiles a payload over users XORs: for each s in users, user
+    s's demanded file as cached by the others."""
+    return [(d[s - 1], users - {s}) for s in sorted(users)]
 
 
 def _group_payloads(
@@ -278,20 +268,19 @@ def _group_payloads(
     """
     K = subfiles.num_users
     payloads: list[Payload] = []
-    for S in combinations(range(1, K + 1), t + 1):
+    for S in map(frozenset, combinations(range(1, K + 1), t + 1)):
         if lead is not None and lead.isdisjoint(S):
             continue
         bits = 0
         nbits = 0
-        for s in S:
-            key = (d[s - 1], frozenset(S) - {s})
+        for key in _payload_keys(S, d):
             val = subfiles.values.get(key)
             if val is None:
                 continue
             bits ^= val
             nbits = max(nbits, len(subfiles.positions[key]))
         if nbits:
-            payloads.append(Payload(frozenset(S), bits, nbits))
+            payloads.append(Payload(S, bits, nbits))
     return payloads
 
 
@@ -374,10 +363,8 @@ def decode_all_users(
         for pl in transcript.payloads:
             rhs = pl.bits
             unknown: list[SubfileKey] = []
-            for s in sorted(pl.users):
-                key = (d[s - 1], pl.users - {s})
-                pos = layout.get(key)
-                if pos is None or len(pos) == 0:
+            for key in _payload_keys(pl.users, d):
+                if key not in layout:
                     continue
                 if key in cached:
                     rhs ^= cached[key]
@@ -607,6 +594,23 @@ def _check_delivery(K: int, N: int, t: int, d: Iterable[int], k_bits: int) -> tu
     return d
 
 
+def reduced_delivery(
+    K: int, N: int, t: int, d: Iterable[int], k_bits: int = 1
+) -> tuple[SubfileMap, IndexCodingInstance, MessageLabels]:
+    """Reduced centralized delivery for demand d as an index coding instance.
+
+    The layout is centralized placement over N all-zero files, one bit per
+    subfile (the reduction reads positions, never file bits).  The channel
+    carries k_bits * (binom(K,t+1) - binom(K-|N(d)|,t+1)) bits, the closed
+    form.  Raises EmptyDemand at t = K, where every user caches its demand.
+    """
+    d = _check_delivery(K, N, t, d, k_bits)
+    layout = cman_place(K, t, FileLibrary((0,) * N, comb(K, t)))[1]
+    c = k_bits * reduced_payload_count(K, t, len(set(d)))
+    inst, labels = reduce_to_index_coding(layout, d, channel_bits=c)
+    return layout, inst, labels
+
+
 def synthesize_delivery_scheme(
     K: int,
     N: int,
@@ -616,28 +620,24 @@ def synthesize_delivery_scheme(
 ) -> tuple[IndexCodingInstance, LinearScheme, DecodingChoice]:
     """Reduced centralized delivery as a certified linear index code.
 
-    The instance is reduce_to_index_coding's on centralized_layout(K,
-    N, t) and demand d, every message carrying k_bits bits, with channel
-    size c = k_bits * (binom(K,t+1) - binom(K-|N(d)|,t+1)) from the
-    closed form.  The scheme has one XOR composite per reduced-mode
-    payload, over the messages of that payload's subfiles, and the
-    decoding choice is K_j = D_j.  Raises DomainError for t = K, where
-    nothing needs delivering.
+    The instance and its closed-form channel size are reduced_delivery's,
+    every message carrying k_bits bits.  The scheme has one XOR composite
+    per reduced-mode payload, over the messages of that payload's
+    subfiles, and the decoding choice is K_j = D_j.  Raises DomainError
+    for t = K, where nothing needs delivering.
     """
     d = _check_delivery(K, N, t, d, k_bits)
     if t == K:
         raise DomainError("t = K leaves nothing to deliver; there is no scheme to build")
-    layout = centralized_layout(K, N, t)
-    c = k_bits * reduced_payload_count(K, t, len(set(d)))
-    inst, labels = reduce_to_index_coding(layout, d, channel_bits=c)
+    layout, inst, labels = reduced_delivery(K, N, t, d, k_bits)
     ids = {key: mid for mid, key in labels.by_id.items()}
     total = inst.num_messages * k_bits
     composites: list[tuple[frozenset[int], Gf2Matrix]] = []
     for pl in _group_payloads(layout, d, t, leaders(d)):
-        P = frozenset(ids[d[s - 1], pl.users - {s}] for s in pl.users)
+        P = frozenset(ids[key] for key in _payload_keys(pl.users, d))
         rows = tuple(sum(1 << ((i - 1) * k_bits + r) for i in P) for r in range(k_bits))
         composites.append((P, Gf2Matrix(rows, total)))
-    scheme = LinearScheme((k_bits,) * inst.num_messages, c, tuple(composites))
+    scheme = LinearScheme((k_bits,) * inst.num_messages, inst.channel_bits, tuple(composites))
     choice = DecodingChoice(tuple(spec.demands for spec in inst.users))
     return inst, scheme, choice
 

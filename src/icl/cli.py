@@ -25,14 +25,12 @@ from .caching import (
     decode_all_users,
     dman_deliver,
     dman_place,
-    centralized_layout,
     cman_place,
     formula_loads,
     load_csv_row,
     r_d_opt,
     random_library,
-    reduce_to_index_coding,
-    reduced_payload_count,
+    reduced_delivery,
     synthesize_delivery_scheme,
     transcript_log,
     verify_delivery_scheme,
@@ -314,8 +312,7 @@ def _cmd_cache_formulas(args: argparse.Namespace) -> int:
 def _cmd_cache_reduce(args: argparse.Namespace) -> int:
     K, N, t = args.K, args.N, args.t
     d = _parse_demands(args.demands, K)
-    c = reduced_payload_count(K, t, len(set(d)))
-    inst, labels = reduce_to_index_coding(centralized_layout(K, N, t), d, channel_bits=max(c, 1))
+    _, inst, labels = reduced_delivery(K, N, t, d)
     text = format_instance(inst)
     if args.out:
         Path(args.out).write_text(text)

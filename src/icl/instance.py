@@ -58,7 +58,6 @@ class SideInfoGraph:
 
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
-    channel_bits: int = 1
 
 
 def validate_instance(inst: IndexCodingInstance) -> list[str]:
@@ -115,7 +114,7 @@ def build_side_info_graph(inst: IndexCodingInstance) -> SideInfoGraph:
     edges = frozenset(
         (i, j) for i, user in demanded_by.items() for j in user.knows if j in vset
     )
-    return SideInfoGraph(vertices, edges, inst.channel_bits)
+    return SideInfoGraph(vertices, edges)
 
 
 _BUILTINS: dict[str, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {

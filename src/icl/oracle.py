@@ -120,9 +120,12 @@ def enumerate_lp_vertices(lp: LinearProgram) -> list[dict[str, Fraction]]:
 
     Tries all ways to make n of the constraint/bound hyperplanes active,
     solves each square system in rational arithmetic, and keeps the
-    solutions satisfying everything.  Raises TooLarge beyond 6 variables
-    or 10 constraints.  The feasible region's vertices are a subset of
-    the result; on an infeasible program the result is empty.
+    solutions satisfying everything.  Equality rows need not be among
+    the active ones, since the feasibility check enforces them, so
+    dependent equalities do not hide a vertex.  Raises TooLarge beyond
+    6 variables or 10 constraints.  The feasible region's vertices are
+    a subset of the result; on an infeasible program the result is
+    empty.
     """
     names = lp.variables
     n = len(names)
@@ -134,14 +137,11 @@ def enumerate_lp_vertices(lp: LinearProgram) -> list[dict[str, Fraction]]:
     for con in lp.constraints:
         rows.append([Fraction(con.coeffs.get(v, 0)) for v in names])
         rhs.append(Fraction(con.rhs))
-    eq_idx = [i for i, con in enumerate(lp.constraints) if con.relation == "="]
     # Hyperplane pool: constraint rows, then coordinate planes x_i = 0.
     pool = list(range(m + n))
     points: list[dict[str, Fraction]] = []
     seen: set[tuple[Fraction, ...]] = set()
     for active in combinations(pool, n):
-        if any(i not in active for i in eq_idx):
-            continue
         M: list[list[Fraction]] = []
         b: list[Fraction] = []
         for a in active:

@@ -51,9 +51,6 @@ class LinearScheme:
             off.append(off[-1] + L)
         return off
 
-    def col_mask(self, messages: Iterable[int]) -> int:
-        return _col_mask(self.offsets(), messages)
-
     def global_rows(self) -> list[int]:
         return [row for _, mat in self.composites for row in mat.rows]
 
@@ -127,7 +124,6 @@ class SchemeVerdict:
     channel_use: tuple[int, ...]
     channel_ok: tuple[bool, ...]
     mac: tuple[dict[frozenset[int], tuple[int, bool]], ...]
-    rate_vector: tuple[int, ...]
     symmetric_rate: Fraction
 
     @property
@@ -177,9 +173,7 @@ def check_scheme(
 
     demanded = sorted(set().union(*(spec.demands for spec in inst.users)))
     sym = Fraction(min(scheme.msg_bits[i - 1] for i in demanded), c)
-    return SchemeVerdict(
-        tuple(channel_use), tuple(channel_ok), tuple(mac), scheme.msg_bits, sym
-    )
+    return SchemeVerdict(tuple(channel_use), tuple(channel_ok), tuple(mac), sym)
 
 
 def zero_error_decode_check(
@@ -199,13 +193,13 @@ def zero_error_decode_check(
     _require_wellformed(scheme, inst.num_messages)
     if mode not in ("algebraic", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
-    rows = scheme.global_rows()
+    rows, off = scheme.global_rows(), scheme.offsets()
     total = scheme.total_bits
     out = []
     for spec in inst.users:
         unknown_msgs = set(inst.message_ids()) - spec.knows
-        unknown = scheme.col_mask(unknown_msgs)
-        dmask = scheme.col_mask(spec.demands)
+        unknown = _col_mask(off, unknown_msgs)
+        dmask = _col_mask(off, spec.demands)
         if mode == "algebraic":
             ok = all(v & dmask == 0 for v in nullspace(rows, total, allowed=unknown))
         else:
@@ -333,10 +327,7 @@ def embed_composite_allocation(
         if any(b < n for b, n in zip(bits, need)):
             raise ValueError("msg_bits must dominate the per-message allocation totals")
     total = sum(bits)
-    off = [0]
-    for L in bits:
-        off.append(off[-1] + L)
-    cursor = list(off[:num_messages])
+    cursor = LinearScheme(bits, channel_bits, ()).offsets()[:num_messages]
     composites = []
     for P in sorted(allocation, key=lambda s: tuple(sorted(s))):
         s = allocation[P]

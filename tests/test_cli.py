@@ -194,6 +194,33 @@ def test_sandwich_csv(capsys):
     assert "acyclic outer bound (size 1),1/1" in lines
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize(
+    "composite, tag, code", [("1,2 row 11", "PASS", 0), ("1 row 10", "FAIL", 1)]
+)
+def test_sandwich_with_scheme(tmp_path, capsys, fmt, composite, tag, code):
+    path = tmp_path / "xor.sch"
+    path.write_text(f"channel_bits 1\nmsg_bits 1 1\ncomposite {composite}\n")
+    got, out, _ = run_cli(
+        capsys, "--format", fmt, "sandwich", "--instance", "xor2", "--scheme", str(path)
+    )
+    assert got == code
+    rows = (
+        [
+            "composite inner bound (time-shared),1/1",
+            f"linear scheme ({tag}),1/1",
+            "acyclic outer bound (size 1),1/1",
+        ]
+        if fmt == "csv"
+        else [
+            "composite inner bound (time-shared)  1/1 (1.000000)",
+            f"linear scheme ({tag})                 1/1 (1.000000)",
+            "acyclic outer bound (size 1)         1/1 (1.000000)",
+        ]
+    )
+    assert out.splitlines() == ["instance: builtin xor2", f"scheme: {path}", *rows]
+
+
 def test_cache_sim_centralized(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -474,6 +501,23 @@ def test_cache_reduce_has_no_seed(capsys):
         main(["cache", "reduce", "--K", "3", "--N", "3", "--t", "1", "--demands", "1,2,3", "--seed", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "N, t, err",
+    [
+        ("2", "4", "t must lie in [0..3], got 4"),
+        ("2", "-1", "t must lie in [0..3], got -1"),
+        ("0", "1", "N must be a positive integer, got 0"),
+    ],
+)
+def test_cache_reduce_checks_its_arguments(capsys, N, t, err):
+    code, out, stderr = run_cli(
+        capsys, "cache", "reduce", "--K", "3", "--N", N, "--t", t, "--demands", "1,1,2"
+    )
+    assert code == 1
+    assert out == ""
+    assert stderr == f"error: {err}\n"
 
 
 @pytest.mark.parametrize(

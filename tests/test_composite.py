@@ -503,6 +503,16 @@ def test_hull_stops_once_the_pool_meets_the_bound():
     assert hull.symmetric_rate == hull.upper_bound == Fraction(1, 3)
 
 
+def test_hull_trace_reports_every_sweep():
+    calls = []
+    hull = time_shared_symmetric_rate(FOUR_SWEEPS, trace=lambda *args: calls.append(args))
+    assert [r for r, _, _ in calls] == list(range(1, hull.rounds + 1)) == [1, 2, 3, 4]
+    taus = [tau for _, tau, _ in calls]
+    assert taus[1:] == sorted(taus[1:])
+    least = min(best for _, _, best in calls)
+    assert least == hull.upper_bound * hull.channel_bits == Fraction(1, 2)
+
+
 def test_hull_needs_a_round():
     with pytest.raises(ValueError, match="max_rounds must be >= 1"):
         time_shared_symmetric_rate(FOUR_SWEEPS, max_rounds=0)

@@ -1,11 +1,12 @@
 """Exact rational LP solver: unit cases and the vertex-enumeration oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from icl.lp import Constraint, LinearProgram, _scaled_int_rows, _simplex, solve_lp
+from icl.lp import Constraint, LinearProgram, _int_array, _scaled_int_rows, _simplex, solve_lp
 from icl.oracle import enumerate_lp_vertices, lp_optimum_by_enumeration
 
 
@@ -157,3 +158,46 @@ def test_vertices_include_feasible_corners():
         (("x", Fraction(1)), ("y", Fraction(1))),
     }
     assert corners <= points
+
+
+def test_int64_tableau_promotes_to_object_and_stays_exact():
+    # Entries near 2^30 push the second pivot past the int64-safe bound.
+    rng = random.Random(0)
+
+    def draw(k):
+        return [rng.randrange(1 << 29, 1 << 30) for _ in range(k)]
+
+    A = [draw(4) for _ in range(4)]
+    b, c = draw(4), draw(4)
+    names = ("x0", "x1", "x2", "x3")
+    rows = [(dict(zip(names, row)), "<=", bi) for row, bi in zip(A, b)]
+    lp = _lp(names, dict(zip(names, c)), rows)
+    status, tab, width = _simplex(_int_array(A), _int_array(b), _int_array(c))
+    assert status == "optimal"
+    assert tab.t.dtype == object
+    assert sum(cj * tab.value_of(j, width) for j, cj in enumerate(c)) == lp_optimum_by_enumeration(lp)
+
+
+def _parallel_equalities():
+    # x + y = 3 and 2x + 2y = 6 are the same hyperplane.
+    return _lp(
+        ("x", "y"),
+        {"x": 1},
+        [({"x": 1, "y": 1}, "=", 3), ({"x": 2, "y": 2}, "=", 6), ({"x": 1}, "<=", 2)],
+    )
+
+
+def test_phase_one_drops_redundant_equality_row():
+    lp = _parallel_equalities()
+    A, b, obj = _scaled_int_rows(lp)
+    status, tab, width = _simplex(A, b, obj, np.array([True, True, False]))
+    assert status == "optimal"
+    assert tab.value_of(0, width) == 2
+    assert tab.nrows == 2
+    assert solve_lp(lp).optimum == 2
+
+
+def test_vertex_enumeration_handles_dependent_equalities():
+    lp = _parallel_equalities()
+    assert lp_optimum_by_enumeration(lp) == 2
+    assert {"x": 2, "y": 1} in enumerate_lp_vertices(lp)
