@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -661,12 +661,16 @@ class DeliveryVerification:
     note: str = ""
 
 
+def _closed_form_load(K: int, N: int, t: int, d: Sequence[int]) -> Fraction | None:
+    """r_c_opt(K, N, t) when d demands min(N, K) distinct files, else None."""
+    return r_c_opt(K, N, t) if len(set(d)) == min(N, K) else None
+
+
 def verify_delivery_scheme(K: int, N: int, t: int, d: Iterable[int], k_bits: int = 1) -> DeliveryVerification:
     """Synthesize and fully certify the reduced delivery for (K,N,t,d)."""
     d = _check_delivery(K, N, t, d, k_bits)
-    worst = len(set(d)) == min(N, K)
-    expected = r_c_opt(K, N, t) if worst else None
     if t == K:
+        expected = _closed_form_load(K, N, t, d)
         return DeliveryVerification(
             passed=expected is None or expected == 0,
             scheme_passed=None,
@@ -676,7 +680,20 @@ def verify_delivery_scheme(K: int, N: int, t: int, d: Iterable[int], k_bits: int
             sum_rate_inverse=None,
             note="empty delivery: every user caches the whole library",
         )
-    inst, scheme, choice = synthesize_delivery_scheme(K, N, t, d, k_bits)
+    return _certify_delivery(K, N, t, d, k_bits, synthesize_delivery_scheme(K, N, t, d, k_bits))
+
+
+def _certify_delivery(
+    K: int,
+    N: int,
+    t: int,
+    d: Sequence[int],
+    k_bits: int,
+    synthesized: tuple[IndexCodingInstance, LinearScheme, DecodingChoice],
+) -> DeliveryVerification:
+    """Certify synthesize_delivery_scheme(K, N, t, d, k_bits)'s triple, t < K."""
+    inst, scheme, choice = synthesized
+    expected = _closed_form_load(K, N, t, d)
     verdict = check_scheme(inst, scheme, choice)
     zero = all(zero_error_decode_check(inst, scheme, mode="algebraic"))
     load = Fraction(scheme.channel_bits, k_bits * comb(K, t))

@@ -21,6 +21,7 @@ from .caching import (
     DomainError,
     EmptyDemand,
     Indivisible,
+    _certify_delivery,
     deliver,
     decode_all_users,
     dman_deliver,
@@ -33,7 +34,6 @@ from .caching import (
     reduced_delivery,
     synthesize_delivery_scheme,
     transcript_log,
-    verify_delivery_scheme,
 )
 from .composite import (
     SearchSpaceOverflow,
@@ -43,6 +43,7 @@ from .composite import (
 )
 from .instance import (
     IndexCodingInstance,
+    NotMultipleUnicast,
     UnknownName,
     builtin_instance,
     format_instance,
@@ -50,7 +51,7 @@ from .instance import (
     require_valid_instance,
     validate_instance,
 )
-from .outer import acyclic_symmetric_bound
+from .outer import TooManyVertices, acyclic_symmetric_bound
 from .schemes import (
     EnumerationTooLarge,
     LinearScheme,
@@ -115,8 +116,8 @@ def _parse_fraction(text: str) -> Fraction:
         raise _Failure(f"not a rational number: {text!r}")
 
 
-def _time_shared(inst: IndexCodingInstance, **kwargs):
-    """time_shared_symmetric_rate, refusing messages that no user demands."""
+def _require_demanded(inst: IndexCodingInstance) -> None:
+    """Refuse messages that no user demands, which the hull does not support."""
     require_valid_instance(inst)
     demanded = set().union(*(spec.demands for spec in inst.users))
     undemanded = sorted(set(inst.message_ids()) - demanded)
@@ -126,7 +127,6 @@ def _time_shared(inst: IndexCodingInstance, **kwargs):
             "time-shared rate does not support; composite-rate --pure gives the "
             "single-choice rate"
         )
-    return time_shared_symmetric_rate(inst, **kwargs)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -166,7 +166,8 @@ def _cmd_composite_rate(args: argparse.Namespace) -> int:
         sets = ", ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in res.best_choice.sets)
         print(f"choice: {sets}")
         return 0
-    res = _time_shared(inst, per_user_cap=args.cap, threads=args.threads)
+    _require_demanded(inst)
+    res = time_shared_symmetric_rate(inst, per_user_cap=args.cap, threads=args.threads)
     print(f"rate {_frac(res.symmetric_rate)}  [per channel bit, time-shared]")
     print(
         f"upper bound {_frac(res.upper_bound)}  converged {res.converged}  "
@@ -213,8 +214,12 @@ def _cmd_mais(args: argparse.Namespace) -> int:
 
 def _cmd_sandwich(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
+    _require_demanded(inst)
+    # The outer bound is cheap and refuses groupcast instances, so it runs
+    # before the hull; its row still prints last.
+    outer = acyclic_symmetric_bound(inst)
     rows: list[tuple[str, str]] = []
-    hull = _time_shared(inst, threads=args.threads)
+    hull = time_shared_symmetric_rate(inst, threads=args.threads)
     rows.append(("composite inner bound (time-shared)", _frac(hull.symmetric_rate)))
     failed = False
     if args.scheme:
@@ -224,7 +229,6 @@ def _cmd_sandwich(args: argparse.Namespace) -> int:
         tag = "PASS" if verdict.passed and zero else "FAIL"
         rows.append((f"linear scheme ({tag})", _frac(verdict.symmetric_rate)))
         failed = failed or tag == "FAIL"
-    outer = acyclic_symmetric_bound(inst)
     rows.append((f"acyclic outer bound (size {outer.mais_size})", _frac(outer.symmetric_upper)))
     if args.format == "csv":
         for name, value in rows:
@@ -331,8 +335,9 @@ def _cmd_cache_reduce(args: argparse.Namespace) -> int:
 def _cmd_cache_synthesize(args: argparse.Namespace) -> int:
     K, N, t = args.K, args.N, args.t
     d = _parse_demands(args.demands, K)
-    inst, scheme, choice = synthesize_delivery_scheme(K, N, t, d, k_bits=args.k_bits)
-    report = verify_delivery_scheme(K, N, t, d, k_bits=args.k_bits)
+    synthesized = synthesize_delivery_scheme(K, N, t, d, k_bits=args.k_bits)
+    inst, scheme, _ = synthesized
+    report = _certify_delivery(K, N, t, d, args.k_bits, synthesized)
     if args.out_instance:
         Path(args.out_instance).write_text(format_instance(inst))
         print(f"wrote instance to {args.out_instance}")
@@ -447,7 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         DecodeFailure,
         EmptyDemand,
         EnumerationTooLarge,
+        NotMultipleUnicast,
         SearchSpaceOverflow,
+        TooManyVertices,
         ValueError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -459,24 +459,33 @@ def _price_range(
     """
     n = data.n
     k = 1 if wnum is None else n        # rate columns of the solved LP
+    ws = [1] if wnum is None else [int(w) for w in wnum]
     cands: list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]] = []
+    # Every point ever kept.  One dropped from a full cands cannot come
+    # back: its value is fixed and the cut below only rises.
+    seen: set[tuple[Fraction, ...]] = set()
     for idx in range(start, stop):
         tab, width, cols = _choice_lp(data, idx, wnum)
-        rates = [Fraction(0)] * k
-        for r in range(tab.nrows):
-            jcol = tab.basis[r]
+        t = tab.t
+        rhs = t[: tab.nrows, width].tolist()
+        nums = [0] * k
+        dens = [1] * k
+        for r, jcol in enumerate(tab.basis):
             if jcol < k:
-                rates[jcol] = Fraction(int(tab.t[r, width]), int(tab.t[r, jcol]))
-        if wnum is None:
-            value = rates[0]
-            point = (value,) * n
-        else:
-            value = Fraction(sum(int(w) * rate for w, rate in zip(wnum, rates)), wden)
-            point = tuple(rates)
+                nums[jcol] = rhs[r]
+                dens[jcol] = int(t[r, jcol])
+        # One Fraction over the product of the rate denominators.
+        den = math.prod(dens)
+        value = Fraction(sum(w * x * (den // d) for w, x, d in zip(ws, nums, dens)), wden * den)
         if len(cands) == keep and value <= cands[-1][0]:
             continue
-        if any(point == c[2] for c in cands):
+        if wnum is None:
+            point = (value,) * n
+        else:
+            point = tuple(map(Fraction, nums, dens))
+        if point in seen:
             continue
+        seen.add(point)
         cands.append((value, idx, point, _allocation(tab, width, cols, n)))
         cands.sort(key=lambda e: (-e[0], e[1]))
         del cands[keep:]

@@ -102,11 +102,10 @@ class _Tableau:
                 if mx > _INT64_SAFE:
                     t = self.t = t.astype(object)
                     self.small = False
-        p = t[r, c]
-        col = t[:, c].copy()
-        prow = t[r].copy()
-        new = t * p
-        new -= np.outer(col, prow)
+        # t * t[r, c] is a new array, so the views of t stay valid.
+        prow = t[r]
+        new = t * t[r, c]
+        new -= t[:, c, None] * prow
         new[r] = prow
         if not self.small:
             self._normalize(new)
@@ -135,22 +134,26 @@ class _Tableau:
         while True:
             t = self.t
             obj = t[objrow, :width]
-            pos = np.nonzero(obj > 0)[0]
-            if len(pos) == 0:
-                return OPTIMAL
             if iters < bland_after:
-                c = int(pos[np.argmax(obj[pos])])
+                # argmax is the first index of the largest reduced cost.
+                c = int(obj.argmax())
+                if obj[c] <= 0:
+                    return OPTIMAL
             else:
+                pos = np.nonzero(obj > 0)[0]
+                if len(pos) == 0:
+                    return OPTIMAL
                 c = int(pos[0])
             iters += 1
-            colv = t[:m, c]
             leave = -1
             bn = bd = 0
-            for r in np.nonzero(colv > 0)[0]:
-                a = int(colv[r])
-                num = int(t[r, width])
+            rhs = t[:m, width].tolist()
+            for r, a in enumerate(t[:m, c].tolist()):
+                if a <= 0:
+                    continue
+                num = rhs[r]
                 if leave < 0 or num * bd < bn * a or (num * bd == bn * a and basis[r] < basis[leave]):
-                    leave, bn, bd = int(r), num, a
+                    leave, bn, bd = r, num, a
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, c)

@@ -643,3 +643,40 @@ def test_time_shared_rate_refuses_undemanded_messages(tmp_path, capsys, command)
     code, out, _ = run_cli(capsys, "composite-rate", "--instance", str(path), "--pure")
     assert code == 0
     assert "rate 1/3 (0.333333)  [per channel bit]" in out
+
+
+GROUPCAST_ERRORS = [
+    ("4", "2", "1,2,1,2", "mais", "error: user 1 demands 3 messages\n"),
+    ("4", "2", "1,2,1,2", "sandwich", "error: user 1 demands 3 messages\n"),
+    ("3", "3", "1,2,3", "mais", "error: user 1 demands 2 messages\n"),
+    # Groupcast with undemanded messages: the undemanded check runs first.
+    (
+        "3",
+        "3",
+        "1,2,3",
+        "sandwich",
+        "error: messages [1, 5, 9] are known but demanded by no user, which the time-shared rate "
+        "does not support; composite-rate --pure gives the single-choice rate\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("K, N, demands, command, expected", GROUPCAST_ERRORS)
+def test_outer_bound_refuses_groupcast_deliveries_with_an_error_line(
+    tmp_path, capsys, K, N, demands, command, expected
+):
+    # Each user of a reduced delivery demands several subfiles.  sandwich
+    # runs the outer bound before the hull, so it fails at once.
+    path = tmp_path / "r.ic"
+    code, _, _ = run_cli(
+        capsys, "cache", "reduce", "--K", K, "--N", N, "--t", "1", "--demands", demands, "--out", str(path)
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, command, "--instance", str(path))
+    assert (code, out, err) == (1, f"instance: {path}\n", expected)
+
+
+@pytest.mark.parametrize("command", ["mais", "sandwich"])
+def test_outer_bound_reports_too_many_vertices(capsys, command):
+    code, out, err = run_cli(capsys, command, "--instance", "no-side-info(23)")
+    assert (code, out, err) == (1, "instance: builtin no-side-info(23)\n", "error: 23 vertices exceed the limit 22\n")

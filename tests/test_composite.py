@@ -10,6 +10,7 @@ from icl.composite import (
     SearchSpaceOverflow,
     _choice_lp,
     _hull_master,
+    _merge_candidates,
     _node_bound,
     _option_indices,
     _prepare_price,
@@ -369,6 +370,32 @@ def _assert_search_matches_flat_scan(data, start, stop):
 def test_search_matches_flat_scan(case):
     inst, cap, start, stop = case
     _assert_search_matches_flat_scan(_prepare_price(inst, cap, relax=True), start, stop)
+
+
+@st.composite
+def _pricing_cases(draw):
+    """One of _search_cases' instances, weights and keep.  The weights
+    are small integers, positive on every demanded message and 0
+    elsewhere, or None for the symmetric objective, so that values and
+    rate vectors often tie."""
+    inst, cap, _, _ = draw(_search_cases(max_choices=256))
+    demanded = set().union(*(u.demands for u in inst.users))
+    weights = [draw(st.integers(1, 3)) if i in demanded else 0 for i in inst.message_ids()]
+    if draw(st.booleans()):
+        weights = None
+    return inst, cap, weights, draw(st.sampled_from([1, 3, 64]))
+
+
+@given(_pricing_cases())
+def test_price_range_matches_declarative_merge(case):
+    # The streaming scan keeps what the declarative rule keeps: order all
+    # choices by (-value, index), keep the first index of each rate
+    # vector, take `keep`.
+    inst, cap, weights, keep = case
+    data = _prepare_price(inst, cap)
+    wnum, wden = (None, 1) if weights is None else _scaled_weights(weights)
+    each = [_price_range(data, wnum, wden, i, i + 1, 1) for i in range(data.total)]
+    assert _price_range(data, wnum, wden, 0, data.total, keep) == _merge_candidates(each, keep)
 
 
 CYCLE4 = IndexCodingInstance(4, tuple(UserSpec.of({i}, {i % 4 + 1}) for i in range(1, 5)))

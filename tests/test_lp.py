@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icl.lp import Constraint, LinearProgram, _int_array, _scaled_int_rows, _simplex, solve_lp
+from icl.lp import (
+    Constraint,
+    LinearProgram,
+    _int_array,
+    _scaled_int_rows,
+    _simplex,
+    _Tableau,
+    solve_lp,
+)
 from icl.oracle import enumerate_lp_vertices, lp_optimum_by_enumeration
 
 
@@ -201,3 +209,98 @@ def test_vertex_enumeration_handles_dependent_equalities():
     lp = _parallel_equalities()
     assert lp_optimum_by_enumeration(lp) == 2
     assert {"x": 2, "y": 1} in enumerate_lp_vertices(lp)
+
+
+def _reference_simplex(A, b, c):
+    """Phase-2 simplex on a dense Fraction tableau from the slack basis.
+
+    Enters the first column with the largest positive reduced cost
+    (after the integer kernel's stall budget, the first positive one) and
+    leaves by the least ratio, ties to the smaller basis column.  Both
+    rules are unchanged when a row is scaled by a positive factor, so the
+    integer tableau must take the same pivots.  Returns the (row, column)
+    of each pivot, the final basis and the optimum, None when unbounded.
+    """
+    m, n = len(A), len(c)
+    width = n + m
+    rows = [
+        [Fraction(x) for x in A[i]] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    obj = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, width))
+    pivots = []
+    while True:
+        costs = obj[:width]
+        if len(pivots) < 64 * (m + width):
+            col = costs.index(max(costs))
+        else:
+            col = next((j for j, z in enumerate(costs) if z > 0), 0)
+        if costs[col] <= 0:
+            value = {basis[r]: rows[r][width] for r in range(m)}
+            return pivots, basis, sum(cj * value.get(j, 0) for j, cj in enumerate(c))
+        leave = None
+        for r in range(m):
+            if rows[r][col] > 0:
+                ratio = rows[r][width] / rows[r][col]
+                if leave is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    leave, best = r, ratio
+        if leave is None:
+            return pivots, basis, None
+        prow = [x / rows[leave][col] for x in rows[leave]]
+        rows[leave] = prow
+        for row in rows[:leave] + rows[leave + 1 :] + [obj]:
+            f = row[col]
+            row[:] = [x - f * y for x, y in zip(row, prow)]
+        basis[leave] = col
+        pivots.append((leave, col))
+
+
+def _pivot_rule_lp(seed):
+    """An all-"<=" LP with b >= 0: small entries, degenerate right-hand
+    sides in every third, and entries near 2^30 in every fifth, which
+    push an int64 tableau past the int64-safe bound."""
+    rng = random.Random(seed)
+    n, m = rng.randint(2, 6), rng.randint(2, 8)
+    if seed % 5 == 4:
+        def entry():
+            return rng.randrange(1 << 28, 1 << 30) * rng.choice((1, 1, 1, -1))
+    else:
+        def entry():
+            return rng.randint(-2, 5)
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    b = [abs(entry()) * (seed % 3 != 0 or rng.random() < 0.3) for _ in range(m)]
+    c = [entry() for _ in range(n)]
+    return A, b, c
+
+
+def test_pivot_rule_matches_fraction_reference(monkeypatch):
+    # Pins the kernel's pivot sequence: every pivot, the final basis and
+    # the optimum equal the Fraction reference's, on int64 and on object
+    # tableaus.
+    pivot = _Tableau.pivot
+    calls = []
+
+    def recorded(self, r, c):
+        calls.append((r, c))
+        return pivot(self, r, c)
+
+    monkeypatch.setattr(_Tableau, "pivot", recorded)
+    promoted = degenerate = 0
+    for seed in range(200):
+        A, b, c = _pivot_rule_lp(seed)
+        pivots, basis, optimum = _reference_simplex(A, b, c)
+        degenerate += 0 in b
+        for make in (_int_array, lambda x: np.array(x, dtype=object)):
+            arrays = [make(x) for x in (A, b, c)]
+            calls.clear()
+            status, tab, width = _simplex(*arrays)
+            assert calls == pivots
+            assert tab.basis == basis
+            if optimum is None:
+                assert status == "unbounded"
+            else:
+                assert status == "optimal"
+                assert sum(cj * tab.value_of(j, width) for j, cj in enumerate(c)) == optimum
+            promoted += arrays[0].dtype == np.int64 and tab.t.dtype == object
+    assert degenerate >= 40 and promoted >= 10
