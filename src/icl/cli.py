@@ -129,6 +129,11 @@ def _require_demanded(inst: IndexCodingInstance) -> None:
         )
 
 
+def _require_threads(threads: int) -> None:
+    if threads < 1:
+        raise _Failure(f"--threads must be >= 1, got {threads}")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     problems = validate_instance(inst)
@@ -144,6 +149,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_composite_rate(args: argparse.Namespace) -> int:
+    _require_threads(args.threads)
     inst = _load_instance(args.instance)
     if args.weights is not None:
         weights = [_parse_fraction(t) for t in args.weights.split(",")]
@@ -213,6 +219,7 @@ def _cmd_mais(args: argparse.Namespace) -> int:
 
 
 def _cmd_sandwich(args: argparse.Namespace) -> int:
+    _require_threads(args.threads)
     inst = _load_instance(args.instance)
     _require_demanded(inst)
     # The outer bound is cheap and refuses groupcast instances, so it runs

@@ -48,6 +48,9 @@ _MAX_CHOICES = 1 << 24
 # cut sweeps further: 200 per round gave the same counts.
 _POINTS_PER_ROUND = 64
 
+# Objective of the symmetric LP: maximize its one summed rate column.
+_ONE = _int_array([1])
+
 RationalLike = Fraction | int
 
 
@@ -401,11 +404,13 @@ def _solve(
     """
     n = data.n
     k = 1 if wvec is None else n
-    cols = list(range(k)) + [n + p for p in range(1, 1 << n) if usedbits >> p & 1]
+    bits = np.frombuffer(usedbits.to_bytes((usedbits.bit_length() + 7) // 8, "little"), np.uint8)
+    scols = np.flatnonzero(np.unpackbits(bits, bitorder="little")) + n
+    cols = list(range(k)) + scols.tolist()
     A = np.concatenate([data.decomp, *blocks], axis=0)
     if wvec is None:
-        A = np.concatenate((A[:, :n].sum(axis=1, keepdims=True), A[:, cols[1:]]), axis=1)
-        wvec = _int_array([1])
+        A = np.concatenate((A[:, :n].sum(axis=1, keepdims=True), A[:, scols]), axis=1)
+        wvec = _ONE
     else:
         A = A[:, cols]
     obj = np.zeros(len(cols), dtype=wvec.dtype)
@@ -461,9 +466,11 @@ def _price_range(
     k = 1 if wnum is None else n        # rate columns of the solved LP
     ws = [1] if wnum is None else [int(w) for w in wnum]
     cands: list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]] = []
-    # Every point ever kept.  One dropped from a full cands cannot come
-    # back: its value is fixed and the cut below only rises.
-    seen: set[tuple[Fraction, ...]] = set()
+    # The reduced (numerator, denominator) pairs of every point ever
+    # kept; every denominator is positive, so equal pairs are equal
+    # points.  One dropped from a full cands cannot come back: its value
+    # is fixed and the cut below only rises.
+    seen: set[tuple[tuple[int, int], ...]] = set()
     for idx in range(start, stop):
         tab, width, cols = _choice_lp(data, idx, wnum)
         t = tab.t
@@ -474,18 +481,23 @@ def _price_range(
             if jcol < k:
                 nums[jcol] = rhs[r]
                 dens[jcol] = int(t[r, jcol])
-        # One Fraction over the product of the rate denominators.
+        # The value is num / (wden * den), over the product of the rate
+        # denominators; the cut compares it by cross-multiplication.
         den = math.prod(dens)
-        value = Fraction(sum(w * x * (den // d) for w, x, d in zip(ws, nums, dens)), wden * den)
-        if len(cands) == keep and value <= cands[-1][0]:
+        num = sum(w * x * (den // d) for w, x, d in zip(ws, nums, dens))
+        if len(cands) == keep:
+            cut = cands[-1][0]
+            if num * cut.denominator <= cut.numerator * wden * den:
+                continue
+        key = tuple((x // (g := math.gcd(x, d)), d // g) for x, d in zip(nums, dens))
+        if key in seen:
             continue
+        seen.add(key)
+        value = Fraction(num, wden * den)
         if wnum is None:
             point = (value,) * n
         else:
             point = tuple(map(Fraction, nums, dens))
-        if point in seen:
-            continue
-        seen.add(point)
         cands.append((value, idx, point, _allocation(tab, width, cols, n)))
         cands.sort(key=lambda e: (-e[0], e[1]))
         del cands[keep:]
@@ -629,7 +641,10 @@ def max_symmetric_rate(
     system before being returned.  The rate is normalized per channel
     bit.  The choices are searched by branch and bound over users
     (_search_range), which returns what the exhaustive sweep would.
+    threads < 1 raises ValueError.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     data = _prepare_price(inst, per_user_cap, relax=True)
     [(best, idx, _, alloc)] = _sweep(data, None, 1, 1, threads)
     choice, allocation = _certificate(data, idx, alloc)
@@ -731,13 +746,15 @@ def time_shared_symmetric_rate(
     tau >= upper.  The last master's tau and mixture and the weights of
     the sweep that set upper are independently re-checkable, exact
     certificates of both bounds.  rounds counts the pricing sweeps run,
-    at most max_rounds; max_rounds < 1 raises ValueError.
+    at most max_rounds; max_rounds < 1 or threads < 1 raises ValueError.
 
     trace, when given, is called after every pricing sweep with
     (round, pool value before the sweep, sweep maximum), all in bits.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     data = _prepare_price(inst, per_user_cap)
     n = data.n
     c = data.c

@@ -79,14 +79,22 @@ class _Tableau:
     integer and therefore never changes the constraint (or reduced-cost
     signs) the row encodes, so on the int64 path it is deferred until
     entries actually grow.
+
+    On the int64 path, bound is an upper bound on max|t|, or None before
+    the first pivot.  A pivot with entry p maps every entry to
+    t_ij*p - t_ic*t_rj, at most bound*(p + bound) in magnitude, so t is
+    scanned only once that bound passes _LAZY_NORMALIZE.  This holds
+    because nothing writes into t between pivots except pivot itself;
+    what the builder writes before the first pivot is covered by None.
     """
 
-    def __init__(self, t: np.ndarray, basis: list[int], nrows: int, slacks: np.ndarray):
+    def __init__(self, t: np.ndarray, basis: list[int], nrows: int, slacks: slice):
         self.t = t
         self.basis = basis
         self.nrows = nrows          # constraint rows; objective rows follow
-        self.slacks = slacks        # slack column of each "<=" row, in input order
+        self.slacks = slacks        # slack columns of the "<=" rows, in input order
         self.small = t.dtype == np.int64
+        self.bound: int | None = None
 
     def pivot(self, r: int, c: int) -> None:
         t = self.t
@@ -94,7 +102,7 @@ class _Tableau:
             # Only reached when driving a zero-valued variable out of the
             # basis; the row encodes an equality, so flipping it is free.
             t[r] = -t[r]
-        if self.small:
+        if self.small and (self.bound is None or self.bound > _LAZY_NORMALIZE):
             mx = int(np.abs(t).max())
             if mx > _LAZY_NORMALIZE:
                 self._normalize(t)
@@ -102,12 +110,20 @@ class _Tableau:
                 if mx > _INT64_SAFE:
                     t = self.t = t.astype(object)
                     self.small = False
-        # t * t[r, c] is a new array, so the views of t stay valid.
+            self.bound = mx
+        # Read after _normalize, which may have divided row r.
+        p = t[r, c]
         prow = t[r]
-        new = t * t[r, c]
-        new -= t[:, c, None] * prow
+        # Both forms build a new array, so the views of t stay valid.
+        if p == 1:
+            new = t - t[:, c, None] * prow
+        else:
+            new = t * p
+            new -= t[:, c, None] * prow
         new[r] = prow
-        if not self.small:
+        if self.small:
+            self.bound *= int(p) + self.bound
+        else:
             self._normalize(new)
         self.t = new
         self.basis[r] = c
@@ -207,10 +223,10 @@ def _simplex(
     if eq is None and b.min(initial=0) >= 0:
         t = np.zeros((m + 1, n + m + 1), dtype=dtype)
         t[:m, :n] = A
-        t[np.arange(m), n + np.arange(m)] = 1
+        np.fill_diagonal(t[:m, n:], 1)
         t[:m, -1] = b
         t[m, :n] = obj
-        tab = _Tableau(t, list(range(n, n + m)), m, n + np.arange(m))
+        tab = _Tableau(t, list(range(n, n + m)), m, slice(n, n + m))
         return tab.run(m, n + m), tab, n + m
 
     if eq is None:
@@ -232,7 +248,7 @@ def _simplex(
     basis = np.zeros(m, dtype=np.intp)
     basis[slack] = scol
     basis[art] = acol
-    tab = _Tableau(t, basis.tolist(), m, scol)
+    tab = _Tableau(t, basis.tolist(), m, slice(n, n + n_slack))
     OBJ = m
 
     if len(art):
@@ -269,7 +285,7 @@ def _simplex(
             np.hstack([body[:, : n + n_slack], body[:, ncols:]]),
             [tab.basis[r] for r in keep],
             m,
-            scol,
+            tab.slacks,
         )
         ncols = n + n_slack
         OBJ = m

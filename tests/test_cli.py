@@ -120,6 +120,21 @@ def test_composite_rate_negative_cap(capsys):
     assert err.startswith("error:") and "per_user_cap must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("composite-rate", "--instance", "example1", "--cap", "1", "--threads", "-4"),
+        ("composite-rate", "--instance", "xor2", "--pure", "--threads", "0"),
+        ("sandwich", "--instance", "xor2", "--threads", "-4"),
+    ],
+    ids=["hull", "pure", "sandwich"],
+)
+def test_threads_below_one_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: --threads must be >= 1, got {argv[-1]}\n"
+
+
 def test_linear_check_pass(capsys):
     code, out, _ = run_cli(
         capsys, "linear-check", "--instance", "example1", "--scheme", "example2"

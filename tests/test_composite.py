@@ -398,6 +398,19 @@ def test_price_range_matches_declarative_merge(case):
     assert _price_range(data, wnum, wden, 0, data.total, keep) == _merge_candidates(each, keep)
 
 
+def test_price_range_many_ties_matches_declarative_merge():
+    # example1 at cap 1 under uniform weights: 2,304 choices share 57
+    # distinct rate vectors, so the integer dedupe decides most choices
+    # and keep=64 is never reached, as in the hull's first round.
+    data = _prepare_price(EX1, 1)
+    wnum, wden = _scaled_weights([Fraction(1, 6)] * 6)
+    each = [_price_range(data, wnum, wden, i, i + 1, 1) for i in range(data.total)]
+    kept = _price_range(data, wnum, wden, 0, data.total, 64)
+    assert kept == _merge_candidates(each, 64)
+    points = [point for _, _, point, _ in kept]
+    assert len(set(points)) == len(points) == 57
+
+
 CYCLE4 = IndexCodingInstance(4, tuple(UserSpec.of({i}, {i % 4 + 1}) for i in range(1, 5)))
 
 
@@ -543,6 +556,15 @@ def test_hull_trace_reports_every_sweep():
 def test_hull_needs_a_round():
     with pytest.raises(ValueError, match="max_rounds must be >= 1"):
         time_shared_symmetric_rate(FOUR_SWEEPS, max_rounds=0)
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+@pytest.mark.parametrize(
+    "call", [time_shared_symmetric_rate, max_symmetric_rate], ids=["hull", "pure"]
+)
+def test_threads_below_one_is_a_value_error(call, threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        call(FOUR_SWEEPS, threads=threads)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from icl.composite import _choice_lp, _prepare_price, _scaled_weights
+from icl.instance import builtin_instance
 from icl.lp import (
+    _LAZY_NORMALIZE,
     Constraint,
     LinearProgram,
     _int_array,
@@ -274,6 +277,13 @@ def _pivot_rule_lp(seed):
     return A, b, c
 
 
+# Its second pivot row is G * (0, 1, -2, 1, 0 | 0) with G above
+# _LAZY_NORMALIZE, so _normalize divides the row by G and the multiply
+# must use the pivot entry 1, not G.
+_G = 3 << 22
+_NORMALIZED_PIVOT_LP = ([[_G, 1], [2 * _G, 3], [_G, 2]], [6, 12, 9], [2 * _G, 3])
+
+
 def test_pivot_rule_matches_fraction_reference(monkeypatch):
     # Pins the kernel's pivot sequence: every pivot, the final basis and
     # the optimum equal the Fraction reference's, on int64 and on object
@@ -287,8 +297,7 @@ def test_pivot_rule_matches_fraction_reference(monkeypatch):
 
     monkeypatch.setattr(_Tableau, "pivot", recorded)
     promoted = degenerate = 0
-    for seed in range(200):
-        A, b, c = _pivot_rule_lp(seed)
+    for A, b, c in [*map(_pivot_rule_lp, range(200)), _NORMALIZED_PIVOT_LP]:
         pivots, basis, optimum = _reference_simplex(A, b, c)
         degenerate += 0 in b
         for make in (_int_array, lambda x: np.array(x, dtype=object)):
@@ -304,3 +313,47 @@ def test_pivot_rule_matches_fraction_reference(monkeypatch):
                 assert sum(cj * tab.value_of(j, width) for j, cj in enumerate(c)) == optimum
             promoted += arrays[0].dtype == np.int64 and tab.t.dtype == object
     assert degenerate >= 40 and promoted >= 10
+
+
+def test_normalize_changes_the_pivot_entry(monkeypatch):
+    # The case _NORMALIZED_PIVOT_LP adds to the reference test: the
+    # second pivot entry is G when pivot is called and 1 once the row is
+    # normalized (row r of the result is the normalized pivot row).
+    pivot = _Tableau.pivot
+    entries = []
+
+    def recorded(self, r, c):
+        before = int(self.t[r, c])
+        pivot(self, r, c)
+        entries.append((before, int(self.t[r, c])))
+
+    monkeypatch.setattr(_Tableau, "pivot", recorded)
+    A, b, c = _NORMALIZED_PIVOT_LP
+    status, tab, _ = _simplex(_int_array(A), _int_array(b), _int_array(c))
+    assert status == "optimal" and tab.t.dtype == np.int64
+    assert _G > _LAZY_NORMALIZE and entries == [(_G, _G), (_G, 1)]
+
+
+def test_tracked_bound_covers_every_int64_pivot(monkeypatch):
+    # After every int64 pivot the exact max|t| is within the bound that
+    # decides whether the next pivot scans, on the pivot-rule LPs and on
+    # every pricing LP of example1 at cap 1.
+    pivot = _Tableau.pivot
+    skipped = []
+
+    def checked(self, r, c):
+        scans = self.bound is None or self.bound > _LAZY_NORMALIZE
+        pivot(self, r, c)
+        if self.small:
+            mx = int(np.abs(self.t).max())
+            assert mx <= self.bound, (mx, self.bound)
+            skipped.append(not scans)
+
+    monkeypatch.setattr(_Tableau, "pivot", checked)
+    for A, b, c in [*map(_pivot_rule_lp, range(200)), _NORMALIZED_PIVOT_LP]:
+        _simplex(_int_array(A), _int_array(b), _int_array(c))
+    data = _prepare_price(builtin_instance("example1"), 1)
+    wnum, _ = _scaled_weights([Fraction(1, 6)] * 6)
+    for idx in range(data.total):
+        _choice_lp(data, idx, wnum)
+    assert len(skipped) > 10_000 and 0 < sum(skipped) < len(skipped)
