@@ -155,9 +155,7 @@ def _cmd_composite_rate(args: argparse.Namespace) -> int:
         weights = [_parse_fraction(t) for t in args.weights.split(",")]
         if len(weights) != inst.num_messages:
             raise _Failure(f"expected {inst.num_messages} weights, got {len(weights)}")
-        res = max_weighted_rate(
-            inst, dict(enumerate(weights, start=1)), per_user_cap=args.cap
-        )
+        res = max_weighted_rate(inst, dict(enumerate(weights, start=1)), args.cap, args.threads)
         print(f"weighted value {_frac(res.value)}  [bits]")
         for i in sorted(res.rates):
             print(f"R_{i} = {_frac(res.rates[i])}")
@@ -380,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_composite_rate)
     p.add_argument("--instance", required=True)
     p.add_argument("--cap", type=int, default=None, help="cap on extra jointly-decoded messages per user")
-    p.add_argument("--weights", default=None, help="comma-separated rationals: maximize the weighted rate sum")
-    p.add_argument("--pure", action="store_true", help="single-configuration optimum (no time sharing)")
+    goal = p.add_mutually_exclusive_group()
+    goal.add_argument("--weights", default=None, help="comma-separated rationals: maximize the weighted rate sum")
+    goal.add_argument("--pure", action="store_true", help="single-configuration optimum (no time sharing)")
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("linear-check", help="certify a GF(2) linear scheme")

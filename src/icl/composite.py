@@ -600,8 +600,11 @@ def _sweep(
     Weighted sweeps run _price_range; the symmetric one (wnum None,
     keep 1) runs _search_range, and each worker prunes with its own
     best leaf.  Where the platform cannot fork, the sweep runs serially;
-    the merged candidates equal the serial ones either way.
+    the merged candidates equal the serial ones either way.  threads < 1
+    raises ValueError.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if wnum is None:
         scan, head = _search_range, (data,)
     else:
@@ -643,8 +646,6 @@ def max_symmetric_rate(
     (_search_range), which returns what the exhaustive sweep would.
     threads < 1 raises ValueError.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     data = _prepare_price(inst, per_user_cap, relax=True)
     [(best, idx, _, alloc)] = _sweep(data, None, 1, 1, threads)
     choice, allocation = _certificate(data, idx, alloc)
@@ -753,8 +754,6 @@ def time_shared_symmetric_rate(
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     data = _prepare_price(inst, per_user_cap)
     n = data.n
     c = data.c
@@ -816,6 +815,7 @@ def max_weighted_rate(
     inst: IndexCodingInstance,
     weights: Mapping[int, RationalLike],
     per_user_cap: int | None = None,
+    threads: int = 1,
 ) -> WeightedResult:
     """Best weighted rate sum over every decoding choice.
 
@@ -827,9 +827,10 @@ def max_weighted_rate(
     re-checked against that choice's polyhedron before returning.
     A message missing from weights has weight 0.  Values are in bits.
 
-    Raises ValueError when weights name unknown messages, or give a
-    positive weight to a message no user demands: with every K_j = D_j
-    nothing bounds that message's rate, so the supremum is infinite.
+    Raises ValueError when threads < 1, when weights name unknown
+    messages, or give a positive weight to a message no user demands:
+    with every K_j = D_j nothing bounds that message's rate, so the
+    supremum is infinite.
     """
     data = _prepare_price(inst, per_user_cap)
     stray = set(weights) - set(inst.message_ids())
@@ -844,7 +845,7 @@ def max_weighted_rate(
             "weight but no user demands them"
         )
 
-    [(value, idx, point, alloc)] = _sweep(data, *_scaled_weights(w), 1, 1)
+    [(value, idx, point, alloc)] = _sweep(data, *_scaled_weights(w), 1, threads)
     choice, allocation = _certificate(data, idx, alloc)
     if not check_rate_point(inst, choice, point, allocation):
         raise AssertionError("optimal allocation failed the certificate re-check")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .instance import IndexCodingInstance, SideInfoGraph, build_side_info_graph
+from .instance import IndexCodingInstance, SideInfoGraph, build_side_info_graph, require_valid_instance
 
 
 class TooManyVertices(Exception):
@@ -25,65 +25,61 @@ class AcyclicBoundResult:
     symmetric_upper: Fraction        # per channel bit
 
 
-def _acyclic_by_peeling(succ: list[int], sub: int) -> bool:
-    """Repeatedly remove sink vertices of the induced subgraph."""
-    live = sub
-    while live:
-        progress = False
-        v_bits = live
+def _peel(succ: list[int], sub: int) -> tuple[int, list[int]]:
+    """Remove sinks of the induced subgraph until no sink is left.
+
+    Returns what is left, 0 exactly when sub is acyclic, and the order
+    in which the other vertices were removed.
+    """
+    live, prev, order = sub, 0, []
+    while live != prev:
+        prev = v_bits = live
         while v_bits:
             low = v_bits & -v_bits
             v_bits ^= low
             v = low.bit_length() - 1
             if succ[v] & live == 0:
                 live ^= low
-                progress = True
-        if live and not progress:
-            return False
-    return True
+                order.append(v)
+    return live, order
 
 
-def _find_cycle(succ: list[int], sub: int) -> int:
-    """Bitmask of some cycle inside the induced subgraph, 0 if none."""
-    color = {}
-    for start in range(len(succ)):
-        if not (sub >> start & 1) or color.get(start) == 2:
-            continue
-        stack = [(start, succ[start] & sub)]
-        color[start] = 1
-        path = [start]
-        while stack:
-            v, todo = stack[-1]
-            if todo == 0:
-                color[v] = 2
-                stack.pop()
-                path.pop()
-                continue
-            low = todo & -todo
-            stack[-1] = (v, todo ^ low)
-            w = low.bit_length() - 1
-            if color.get(w) == 1:
-                cyc = 0
-                for u in reversed(path):
-                    cyc |= 1 << u
-                    if u == w:
-                        break
-                return cyc
-            if color.get(w, 0) == 0:
-                color[w] = 1
-                path.append(w)
-                stack.append((w, succ[w] & sub))
-    return 0
+def _cycle_in(succ: list[int], stuck: int) -> int:
+    """Bitmask of a cycle inside a remainder that _peel could not remove.
+
+    Every vertex there has a successor there, so the walk along lowest
+    successors revisits a vertex, and its second lap is the cycle.
+    """
+    seen = cycle = 0
+    v = (stuck & -stuck).bit_length() - 1
+    while not cycle >> v & 1:
+        if seen >> v & 1:
+            cycle |= 1 << v
+        seen |= 1 << v
+        nxt = succ[v] & stuck
+        v = (nxt & -nxt).bit_length() - 1
+    return cycle
+
+
+def _check_order(succ: list[int], sub: int, order: list[int]) -> None:
+    """Each vertex's successors in sub come earlier in order, which lists sub once."""
+    done = 0
+    for v in order:
+        if done >> v & 1 or succ[v] & sub & ~done:
+            raise AssertionError(f"peeling order {order} does not certify the witness")
+        done |= 1 << v
+    if done != sub:
+        raise AssertionError(f"peeling order {order} does not list the witness")
 
 
 def mais(graph: SideInfoGraph, max_vertices: int = 22) -> AcyclicBoundResult:
     """Largest acyclic induced vertex subset, exactly.
 
-    Subsets are scanned largest-first, skipping supersets of already
-    found cycles; the winning subset is re-verified with an independent
-    cycle search before being returned, and is the lexicographically
-    smallest witness of its size.  Raises TooManyVertices beyond
-    max_vertices vertices.
+    Subsets are scanned largest-first by peeling sinks, skipping
+    supersets of the cycles found in the subsets that fail to peel; the
+    winning subset's peeling order is re-checked before it is returned,
+    and it is the lexicographically smallest witness of its size.
+    Raises TooManyVertices beyond max_vertices vertices.
     """
     verts = list(graph.vertices)
     n = len(verts)
@@ -104,18 +100,19 @@ def mais(graph: SideInfoGraph, max_vertices: int = 22) -> AcyclicBoundResult:
                 sub |= 1 << i
             if any(core & sub == core for core in cores):
                 continue
-            if _acyclic_by_peeling(succ, sub):
-                if _find_cycle(succ, sub):
-                    raise AssertionError("acyclicity checkers disagree")
+            stuck, order = _peel(succ, sub)
+            if not stuck:
+                _check_order(succ, sub, order)
                 witness = frozenset(verts[i] for i in combo)
                 return AcyclicBoundResult(size, witness, Fraction(1, size))
             if len(cores) < 128:
-                cyc = _find_cycle(succ, sub)
-                if cyc and cyc not in cores:
-                    cores.append(cyc)
+                cycle = _cycle_in(succ, stuck)
+                if cycle not in cores:
+                    cores.append(cycle)
     raise AssertionError("a single vertex is always acyclic")
 
 
 def acyclic_symmetric_bound(inst: IndexCodingInstance, max_vertices: int = 22) -> AcyclicBoundResult:
-    """The outer bound for a multiple-unicast instance."""
+    """The outer bound for a valid multiple-unicast instance."""
+    require_valid_instance(inst)
     return mais(build_side_info_graph(inst), max_vertices)

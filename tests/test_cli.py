@@ -125,14 +125,33 @@ def test_composite_rate_negative_cap(capsys):
     [
         ("composite-rate", "--instance", "example1", "--cap", "1", "--threads", "-4"),
         ("composite-rate", "--instance", "xor2", "--pure", "--threads", "0"),
+        ("composite-rate", "--instance", "xor2", "--weights", "1,1", "--threads", "0"),
         ("sandwich", "--instance", "xor2", "--threads", "-4"),
     ],
-    ids=["hull", "pure", "sandwich"],
+    ids=["hull", "pure", "weighted", "sandwich"],
 )
 def test_threads_below_one_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: --threads must be >= 1, got {argv[-1]}\n"
+
+
+def test_weighted_rate_takes_threads(capsys, monkeypatch):
+    import icl.cli
+
+    seen = []
+    real = icl.cli.max_weighted_rate
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(icl.cli, "max_weighted_rate", spy)
+    argv = ("composite-rate", "--instance", "example1", "--cap", "1", "--weights", "3,1,1,2,1,1")
+    serial = run_cli(capsys, *argv)
+    forked = run_cli(capsys, *argv, "--threads", "2")
+    assert seen == [1, 2]
+    assert forked == serial and serial[0] == 0
 
 
 def test_linear_check_pass(capsys):
@@ -476,6 +495,10 @@ def test_usage_errors_exit_2(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["composite-rate", "--instance", "xor2", "--pure", "--weights", "1,1"])
+    assert exc.value.code == 2
+    assert "argument --weights: not allowed with argument --pure" in capsys.readouterr().err
 
 
 def test_unknown_scheme_name(capsys):

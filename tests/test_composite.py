@@ -560,7 +560,13 @@ def test_hull_needs_a_round():
 
 @pytest.mark.parametrize("threads", [0, -4])
 @pytest.mark.parametrize(
-    "call", [time_shared_symmetric_rate, max_symmetric_rate], ids=["hull", "pure"]
+    "call",
+    [
+        time_shared_symmetric_rate,
+        max_symmetric_rate,
+        lambda inst, threads: max_weighted_rate(inst, {1: 1}, threads=threads),
+    ],
+    ids=["hull", "pure", "weighted"],
 )
 def test_threads_below_one_is_a_value_error(call, threads):
     with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
@@ -572,6 +578,24 @@ def test_threads_below_one_is_a_value_error(call, threads):
 )
 def test_hull_threads_match_serial(inst, cap):
     assert time_shared_symmetric_rate(inst, cap, threads=2) == time_shared_symmetric_rate(inst, cap)
+
+
+@pytest.mark.parametrize(
+    "inst, cap", [(FOUR_SWEEPS, None), (EX1, 1)], ids=["four-sweeps", "example1-cap1"]
+)
+@pytest.mark.parametrize("skew", [1, 3], ids=["uniform", "skewed"])
+def test_weighted_threads_match_serial(monkeypatch, inst, cap, skew):
+    import multiprocessing
+
+    # Uniform weights tie many choices; the merge must keep the serial sweep's first.
+    weights = {i: Fraction(skew if i == 1 else 1) for i in inst.message_ids()}
+    serial = max_weighted_rate(inst, weights, cap)
+    contexts = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m: contexts.append(m) or get_context(m))
+    forked = max_weighted_rate(inst, weights, cap, threads=2)
+    assert contexts == ["fork"]
+    assert forked == serial and repr(forked) == repr(serial)
 
 
 def test_sweep_without_fork_runs_serially(monkeypatch):
