@@ -617,7 +617,7 @@ def _sweep(
             nchunks = min(threads, total)
             bounds = [total * i // nchunks for i in range(nchunks + 1)]
             args = [(*head, bounds[i], bounds[i + 1]) for i in range(nchunks)]
-            with multiprocessing.get_context("fork").Pool(threads) as workers:
+            with multiprocessing.get_context("fork").Pool(nchunks) as workers:
                 return _merge_candidates(workers.starmap(scan, args), keep)
     return scan(*head, 0, total)
 

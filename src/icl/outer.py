@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .instance import IndexCodingInstance, SideInfoGraph, build_side_info_graph, require_valid_instance
 
@@ -44,23 +43,6 @@ def _peel(succ: list[int], sub: int) -> tuple[int, list[int]]:
     return live, order
 
 
-def _cycle_in(succ: list[int], stuck: int) -> int:
-    """Bitmask of a cycle inside a remainder that _peel could not remove.
-
-    Every vertex there has a successor there, so the walk along lowest
-    successors revisits a vertex, and its second lap is the cycle.
-    """
-    seen = cycle = 0
-    v = (stuck & -stuck).bit_length() - 1
-    while not cycle >> v & 1:
-        if seen >> v & 1:
-            cycle |= 1 << v
-        seen |= 1 << v
-        nxt = succ[v] & stuck
-        v = (nxt & -nxt).bit_length() - 1
-    return cycle
-
-
 def _check_order(succ: list[int], sub: int, order: list[int]) -> None:
     """Each vertex's successors in sub come earlier in order, which lists sub once."""
     done = 0
@@ -75,11 +57,14 @@ def _check_order(succ: list[int], sub: int, order: list[int]) -> None:
 def mais(graph: SideInfoGraph, max_vertices: int = 22) -> AcyclicBoundResult:
     """Largest acyclic induced vertex subset, exactly.
 
-    Subsets are scanned largest-first by peeling sinks, skipping
-    supersets of the cycles found in the subsets that fail to peel; the
-    winning subset's peeling order is re-checked before it is returned,
-    and it is the lexicographically smallest witness of its size.
-    Raises TooManyVertices beyond max_vertices vertices.
+    Branch and bound over vertices: an acyclic set grows by the lowest
+    candidate (a vertex that keeps it acyclic), include first, and a
+    branch is pruned when the set and its candidates cannot beat the
+    best.  Only a larger set replaces the best, so the witness is the
+    lexicographically smallest of its size; its peeling order is
+    re-checked before it is returned.  Looped vertices never join it.
+    Raises TooManyVertices beyond max_vertices vertices, and ValueError
+    for a malformed graph or one whose every vertex has a self-loop.
     """
     verts = list(graph.vertices)
     n = len(verts)
@@ -88,28 +73,38 @@ def mais(graph: SideInfoGraph, max_vertices: int = 22) -> AcyclicBoundResult:
     if n == 0:
         raise ValueError("graph has no vertices")
     index = {v: i for i, v in enumerate(verts)}
+    if len(index) < n:
+        raise ValueError(f"repeated vertices in {graph.vertices}")
+    stray = sorted(e for e in graph.edges if e[0] not in index or e[1] not in index)
+    if stray:
+        raise ValueError(f"edges with an end that is not a vertex: {stray}")
     succ = [0] * n
     for (i, j) in graph.edges:
         succ[index[i]] |= 1 << index[j]
 
-    cores: list[int] = []
-    for size in range(n, 0, -1):
-        for combo in combinations(range(n), size):
-            sub = 0
-            for i in combo:
-                sub |= 1 << i
-            if any(core & sub == core for core in cores):
-                continue
-            stuck, order = _peel(succ, sub)
-            if not stuck:
-                _check_order(succ, sub, order)
-                witness = frozenset(verts[i] for i in combo)
-                return AcyclicBoundResult(size, witness, Fraction(1, size))
-            if len(cores) < 128:
-                cycle = _cycle_in(succ, stuck)
-                if cycle not in cores:
-                    cores.append(cycle)
-    raise AssertionError("a single vertex is always acyclic")
+    best = 0
+
+    def search(kept: int, free: int) -> None:
+        nonlocal best
+        cands = 0
+        for v in range(n):
+            if free >> v & 1 and not _peel(succ, kept | 1 << v)[0]:
+                cands |= 1 << v
+        while kept.bit_count() + cands.bit_count() > best.bit_count():
+            if not cands:
+                best = kept
+                return
+            low = cands & -cands
+            cands ^= low
+            search(kept | low, cands)
+
+    search(0, (1 << n) - 1)
+    if not best:
+        raise ValueError("every vertex has a self-loop")
+    _check_order(succ, best, _peel(succ, best)[1])
+    size = best.bit_count()
+    witness = frozenset(verts[i] for i in range(n) if best >> i & 1)
+    return AcyclicBoundResult(size, witness, Fraction(1, size))
 
 
 def acyclic_symmetric_bound(inst: IndexCodingInstance, max_vertices: int = 22) -> AcyclicBoundResult:

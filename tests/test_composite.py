@@ -612,6 +612,40 @@ def test_sweep_without_fork_runs_serially(monkeypatch):
     assert max_symmetric_rate(FOUR_SWEEPS, threads=2).symmetric_rate == Fraction(1, 2)
 
 
+# Two decoding choices: user 1 may or may not also decode message 2.
+TWO_CHOICES = IndexCodingInstance(2, (UserSpec.of({1}, set()), UserSpec.of({2}, {1})))
+
+
+@pytest.mark.parametrize(
+    "inst, total, threads, processes",
+    [(TWO_CHOICES, 2, 3, 2), (FOUR_SWEEPS, 4, 3, 3), (FOUR_SWEEPS, 4, 2, 2)],
+    ids=["two-choices-3-threads", "four-choices-3-threads", "four-choices-2-threads"],
+)
+def test_sweep_forks_one_worker_per_chunk(monkeypatch, inst, total, threads, processes):
+    import multiprocessing
+
+    assert _prepare_price(inst, None).total == total
+    serial = max_weighted_rate(inst, {1: 2, 2: 1})
+    asked = []
+    get_context = multiprocessing.get_context
+
+    def spying_context(method):
+        context = get_context(method)
+        pool = context.Pool
+
+        class Spy:
+            def Pool(self, n):
+                asked.append(n)
+                return pool(n)
+
+        return Spy()
+
+    monkeypatch.setattr(multiprocessing, "get_context", spying_context)
+    forked = max_weighted_rate(inst, {1: 2, 2: 1}, threads=threads)
+    assert asked == [processes]
+    assert forked == serial and repr(forked) == repr(serial)
+
+
 def _hull_by_disjunctive_lp(inst, cap):
     """Reference: the hull's symmetric value in bits as one disjunctive LP.
 

@@ -1,5 +1,6 @@
 """Acyclic-subset outer bound on the side-information digraph."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,19 +141,91 @@ def test_mais_matches_brute_force(digraph, rng):
     assert (res.mais_size, res.witness) == _brute_mais(vertices, relabelled)
 
 
-@given(_digraphs())
-def test_cycle_in_a_stuck_remainder_is_cyclic(digraph):
-    n, edges = digraph
-    succ = [0] * n
-    for i, j in edges:
-        succ[i - 1] |= 1 << (j - 1)
-    stuck, order = outer._peel(succ, (1 << n) - 1)
-    assert sorted(order + [v for v in range(n) if stuck >> v & 1]) == list(range(n))
-    if stuck:
-        cycle = outer._cycle_in(succ, stuck)
-        members = [v for v in range(n) if cycle >> v & 1]
-        adj = np.array([[succ[u] >> v & 1 for v in members] for u in members], dtype=np.int64)
-        assert cycle & stuck == cycle and not _nilpotent(adj)
+def _scan_mais(succ: list[int]) -> tuple[int, int]:
+    """Size and bitmask of the first acyclic subset, largest first.
+
+    The subset scan mais ran before its branch and bound: it skips
+    supersets of up to 128 cycles, each found by walking lowest
+    successors inside a remainder that failed to peel until a vertex
+    repeats.
+    """
+    n = len(succ)
+    cores: list[int] = []
+    for size in range(n, 0, -1):
+        for combo in combinations(range(n), size):
+            sub = sum(1 << i for i in combo)
+            if any(core & sub == core for core in cores):
+                continue
+            stuck, _ = outer._peel(succ, sub)
+            if not stuck:
+                return size, sub
+            seen = cycle = 0
+            v = (stuck & -stuck).bit_length() - 1
+            while not cycle >> v & 1:
+                if seen >> v & 1:
+                    cycle |= 1 << v
+                seen |= 1 << v
+                nxt = succ[v] & stuck
+                v = (nxt & -nxt).bit_length() - 1
+            if len(cores) < 128 and cycle not in cores:
+                cores.append(cycle)
+    raise AssertionError("a single vertex without a self-loop is acyclic")
+
+
+def _seeded_graph(n: int, density: float, rng: random.Random) -> SideInfoGraph:
+    edges = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j and rng.random() < density)
+    return SideInfoGraph(tuple(range(1, n + 1)), edges)
+
+
+def test_mais_matches_the_subset_scan_past_brute_force():
+    rng = random.Random(16)
+    for _ in range(60):
+        graph = _seeded_graph(rng.randint(10, 16), rng.random(), rng)
+        succ = [sum(1 << (j - 1) for a, j in graph.edges if a == i) for i in graph.vertices]
+        size, sub = _scan_mais(succ)
+        res = mais(graph)
+        assert (res.mais_size, res.witness) == (size, frozenset(v + 1 for v in range(len(succ)) if sub >> v & 1))
+
+
+def test_mais_on_a_seeded_22_vertex_digraph():
+    # Size and witness pinned from the subset scan, which took several
+    # seconds on this graph.
+    graph = _seeded_graph(22, 0.35, random.Random(22))
+    assert len(graph.edges) == 174
+    res = mais(graph)
+    assert (res.mais_size, res.witness) == (10, frozenset({3, 4, 5, 7, 10, 11, 13, 15, 18, 20}))
+
+
+@given(st.integers(1, 8), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_looped_vertices_stay_out_of_the_witness(n, density, rng):
+    vertices = tuple(range(1, n + 1))
+    edges = frozenset((i, j) for i in vertices for j in vertices if rng.random() < density)
+    if all((v, v) in edges for v in vertices):
+        with pytest.raises(ValueError, match="every vertex has a self-loop"):
+            mais(SideInfoGraph(vertices, edges))
+    else:
+        res = mais(SideInfoGraph(vertices, edges))
+        assert (res.mais_size, res.witness) == _brute_mais(vertices, edges)
+
+
+@pytest.mark.parametrize("vertices", [(1,), (1, 2)])
+def test_every_vertex_looped_is_a_value_error(vertices):
+    graph = SideInfoGraph(vertices, frozenset((v, v) for v in vertices))
+    with pytest.raises(ValueError, match="every vertex has a self-loop"):
+        mais(graph)
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (SideInfoGraph((1, 1, 2), frozenset({(1, 2)})), r"repeated vertices in \(1, 1, 2\)"),
+        (SideInfoGraph((1, 2), frozenset({(1, 3)})), r"edges with an end that is not a vertex: \[\(1, 3\)\]"),
+    ],
+    ids=["repeated-vertex", "stray-edge"],
+)
+def test_malformed_graph_is_a_value_error(graph, message):
+    with pytest.raises(ValueError, match=message):
+        mais(graph)
 
 
 def test_vertex_limit_guard():
