@@ -168,9 +168,10 @@ def leaders(d: Iterable[int]) -> frozenset[int]:
 def _with_caches(subfiles: SubfileMap, cache_files: Fraction) -> tuple[CacheState, SubfileMap]:
     """Each user caches every subfile whose cached-by set holds it."""
     K = subfiles.num_users
-    contents = tuple(
-        {key: v for key, v in subfiles.values.items() if k in key[1]} for k in range(1, K + 1)
-    )
+    contents: tuple[dict[SubfileKey, int], ...] = tuple({} for _ in range(K))
+    for key, v in subfiles.values.items():
+        for k in key[1]:
+            contents[k - 1][key] = v
     return CacheState(K, cache_files, subfiles.positions, contents), subfiles
 
 
@@ -192,13 +193,12 @@ def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState
     groups = [frozenset(W) for W in combinations(range(1, K + 1), t)]
     positions: dict[SubfileKey, np.ndarray] = {}
     values: dict[SubfileKey, int] = {}
+    mask = (1 << chunk) - 1
     for i, packed in enumerate(library.files, start=1):
-        fb = _unpack_bits(packed, B)
         for gi, W in enumerate(groups):
-            pos = np.arange(gi * chunk, (gi + 1) * chunk)
             key = (i, W)
-            positions[key] = pos
-            values[key] = _pack_bits(fb[pos])
+            positions[key] = np.arange(gi * chunk, (gi + 1) * chunk)
+            values[key] = (packed >> gi * chunk) & mask
     subfiles = SubfileMap(K, library.num_files, B, positions, values, placement_t=t)
     return _with_caches(subfiles, Fraction(t * library.num_files, K))
 
@@ -213,6 +213,8 @@ def dman_place(
     independently with probability exactly M/N, drawn from the seeded
     generator (users outer, files inner), then bits are grouped into
     subfiles by their exact cached-by set.  Reproducible given the seed.
+    At most 64 users: the cached-by set of a bit is coded in 64 bits, and
+    dman_deliver enumerates every subset of the users anyway.
     """
     K = num_users
     N = library.num_files
@@ -220,6 +222,8 @@ def dman_place(
     M = Fraction(cache_files)
     if K < 1:
         raise ValueError("need at least one user")
+    if K > 64:
+        raise DomainError(f"decentralized placement supports at most 64 users, got {K}")
     if not 0 < M < N:
         raise DomainError(f"cache size must satisfy 0 < M < N, got M={M}, N={N}")
     p = M / N
@@ -231,17 +235,26 @@ def dman_place(
     ]
     positions: dict[SubfileKey, np.ndarray] = {}
     values: dict[SubfileKey, int] = {}
+    # The narrowest type that holds K bits sorts fastest; past 32 users
+    # the code is int64, whose sign bit holds user 64.
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64) if K <= np.iinfo(t).bits)
     for i, packed in enumerate(library.files, start=1):
-        fb = _unpack_bits(packed, B)
-        code = np.zeros(B, dtype=np.int64)
+        code = np.zeros(B, dtype=dtype)
         for k in range(1, K + 1):
-            code |= cached[k - 1][i - 1].astype(np.int64) << (k - 1)
-        for w in np.unique(code):
-            pos = np.nonzero(code == w)[0]
-            W = frozenset(k for k in range(1, K + 1) if int(w) >> (k - 1) & 1)
+            code |= cached[k - 1][i - 1].astype(dtype) << (k - 1)
+        # A stable sort groups the positions by code, each group ascending
+        # and the groups in increasing code order; the file is packed once
+        # in that order, so each subfile is a run of its bits.
+        order = np.argsort(code, kind="stable")
+        ranked = code[order]
+        bounds = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), B]
+        run = _pack_bits(_unpack_bits(packed, B)[order])
+        for lo, hi in zip(bounds, bounds[1:]):
+            w = int(ranked[lo])
+            W = frozenset(k for k in range(1, K + 1) if w >> (k - 1) & 1)
             key = (i, W)
-            positions[key] = pos
-            values[key] = _pack_bits(fb[pos])
+            positions[key] = order[lo:hi]
+            values[key] = (run >> lo) & ((1 << (hi - lo)) - 1)
     subfiles = SubfileMap(K, N, B, positions, values)
     return _with_caches(subfiles, M)
 
@@ -325,6 +338,29 @@ def dman_deliver(subfiles: SubfileMap, d: Iterable[int]) -> DeliveryTranscript:
     return _transcript(payloads, subfiles, "decentralized")
 
 
+def _decode_columns(
+    layout: dict[SubfileKey, np.ndarray], payloads: Sequence[Payload], d: tuple[int, ...]
+) -> tuple[list[SubfileKey], list[tuple[list[tuple[SubfileKey, int]], int, int]], int]:
+    """decode_all_users's user-independent part: one column per payload member.
+
+    Returns the members sorted longest first, each payload's members
+    with their column bits, its bits and nbits, and the row width.  Every
+    user's unknown symbols are a subset of the members in the same
+    relative order, so the columns serve every user.
+    """
+    members = [[key for key in _payload_keys(pl.users, d) if key in layout] for pl in payloads]
+    symbols = sorted(
+        {key for keys in members for key in keys},
+        key=lambda key: (-len(layout[key]), _subfile_order(key)),
+    )
+    column = {key: 1 << i for i, key in enumerate(symbols)}
+    eqs = [
+        ([(key, column[key]) for key in keys], pl.bits, pl.nbits)
+        for keys, pl in zip(members, payloads)
+    ]
+    return symbols, eqs, len(symbols) + max((pl.nbits for pl in payloads), default=0)
+
+
 def decode_all_users(
     cache: CacheState,
     transcript: DeliveryTranscript,
@@ -353,51 +389,52 @@ def decode_all_users(
         raise ValueError(f"demand vector names {len(d)} users, expected {K}")
     layout = cache.layout
     B = transcript.file_bits
+    # Per file: its subfiles in layout order and their positions end to end.
+    parts: dict[int, list[tuple[SubfileKey, int]]] = {}
+    for key, pos in layout.items():
+        parts.setdefault(key[0], []).append((key, len(pos)))
+    spots = {
+        i: np.concatenate([layout[key] for key, _ in parts[i]]) for i in set(d) if i in parts
+    }
     out: list[int] = []
     for k in range(1, K + 1):
-        if not any(key[0] == d[k - 1] for key in layout):
+        if d[k - 1] not in parts:
             raise ValueError(f"user {k} demands unknown file {d[k - 1]}")
+        if k == 1:
+            # Built once, after user 1's file check, so that check still comes first.
+            symbols, eqs, width = _decode_columns(layout, transcript.payloads, d)
+            n = len(symbols)
         cached = cache.contents[k - 1]
-        # Payload -> equation: mask over unknown symbols, rhs, width.
-        eqs: list[tuple[list[SubfileKey], int, int]] = []
-        for pl in transcript.payloads:
-            rhs = pl.bits
-            unknown: list[SubfileKey] = []
-            for key in _payload_keys(pl.users, d):
-                if key not in layout:
-                    continue
-                if key in cached:
-                    rhs ^= cached[key]
+        # Payload -> equation: mask over unknown symbols, rhs above it.
+        rows = []
+        for keyed, rhs, nb in eqs:
+            mask = 0
+            for key, bit in keyed:
+                held = cached.get(key)
+                if held is None:
+                    mask |= bit
                 else:
-                    unknown.append(key)
-            eqs.append((unknown, rhs, pl.nbits))
-        symbols = sorted(
-            {key for unk, _, _ in eqs for key in unk},
-            key=lambda key: (-len(layout[key]), _subfile_order(key)),
-        )
-        n = len(symbols)
-        index = {key: i for i, key in enumerate(symbols)}
-        rows = [
-            sum(1 << index[u] for u in unk) | (rhs & ((1 << nb) - 1)) << n
-            for unk, rhs, nb in eqs
-        ]
+                    rhs ^= held
+            rows.append(mask | (rhs & ((1 << nb) - 1)) << n)
         solved: dict[SubfileKey, int] = {}
-        for col, row in zip(*rref(rows, n + max((nb for _, _, nb in eqs), default=0))):
+        for col, row in zip(*rref(rows, width)):
             if col >= n or row >> n >> len(layout[symbols[col]]):
                 raise DecodeFailure(k, "inconsistent payload equations")
             if row & ((1 << n) - 1) == 1 << col:
                 solved[symbols[col]] = row >> n
-        fb = np.zeros(B, dtype=np.uint8)
-        for key, pos in layout.items():
-            if key[0] != d[k - 1]:
-                continue
+        value = 0
+        shift = 0
+        for key, size in parts[d[k - 1]]:
             if k in key[1]:
                 val = cached[key]
             elif key in solved:
                 val = solved[key]
             else:
                 raise DecodeFailure(k, f"subfile {key[0]},{sorted(key[1])} undetermined")
-            fb[pos] = _unpack_bits(val, len(pos))
+            value |= val << shift
+            shift += size
+        fb = np.zeros(B, dtype=np.uint8)
+        fb[spots[d[k - 1]]] = _unpack_bits(value, shift)
         out.append(_pack_bits(fb))
     return out
 

@@ -183,7 +183,12 @@ def enumerate_decoding_choices(
 
 
 def check_decoding_set(inst: IndexCodingInstance, user: int, K: frozenset[int]) -> None:
-    """Raise InvalidDecodingSet unless D <= K <= messages minus A for user (1-based)."""
+    """Raise InvalidDecodingSet unless D <= K <= messages minus A for user (1-based).
+
+    Raises ValueError for a user outside 1..num_users.
+    """
+    if not 1 <= user <= inst.num_users:
+        raise ValueError(f"user {user} is outside 1..{inst.num_users}")
     spec = inst.users[user - 1]
     if not spec.demands <= K <= set(inst.message_ids()) - spec.knows:
         raise InvalidDecodingSet(f"user {user}: decoding set must satisfy D <= K <= messages minus A")

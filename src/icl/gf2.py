@@ -53,14 +53,18 @@ def rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     """
     basis = _echelon(rows)
     pivcols = sorted(basis)
-    # Back-substitute, highest pivot first, so every pivot column is
-    # cleared elsewhere; only rows with a lower pivot can hold it.
-    for i in range(len(pivcols) - 1, 0, -1):
-        c = pivcols[i]
+    pivmask = sum(1 << c for c in pivcols)
+    # Back-substitute, highest pivot first: the rows above are already
+    # reduced, so XORing in the one for each other pivot column this row
+    # holds clears that column and sets no other pivot column.
+    for c in reversed(pivcols):
         row = basis[c]
-        for lower in pivcols[:i]:
-            if basis[lower] >> c & 1:
-                basis[lower] ^= row
+        hits = (row & pivmask) ^ (1 << c)
+        while hits:
+            low = hits & -hits
+            row ^= basis[low.bit_length() - 1]
+            hits ^= low
+        basis[c] = row
     return pivcols, [basis[c] for c in pivcols]
 
 

@@ -13,6 +13,14 @@ together with, for every J <= K meeting D, the decoding-capacity bound
 sum of L_i over J at most kappa_J = H(X | U_{A | K \\ J}) - H(X | U_{A | K}).
 Certified schemes operate at zero error, which the decode checks verify
 directly.
+
+Each user takes one elimination.  With U the messages outside A | K,
+reduce the rows on U's columns, of rank r_U, and keep Z, the K-parts of
+the combinations of rows that vanish on U.  Row operations keep the rank
+of every column restriction, so H(X | U_{A | K \\ J}) = r_U + rank(Z on
+J's columns) and H(X | U_{A | K}) = r_U, hence kappa_J = rank(Z on J's
+columns), one small rank per subset J; the channel use H(X | U_A) is the
+rank of the whole elimination.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .composite import DecodingChoice, InvalidDecodingSet, _check_choice, check_decoding_set
-from .gf2 import Gf2Matrix, nullspace, rank_of
+from .gf2 import Gf2Matrix, nullspace, rank_of, rref
 from .instance import IndexCodingInstance, UnknownName, require_valid_instance
 
 _ENUM_LIMIT = 20
@@ -86,16 +94,44 @@ def _col_mask(off: Sequence[int], messages: Iterable[int]) -> int:
     return mask
 
 
-def _entropy(rows: Sequence[int], off: Sequence[int], known: Iterable[int]) -> int:
-    """conditional_entropy on precomputed global rows and offsets, unchecked."""
-    unknown = _col_mask(off, set(range(1, len(off))) - set(known))
-    return rank_of(row & unknown for row in rows)
-
-
 def conditional_entropy(scheme: LinearScheme, known: Iterable[int] = ()) -> int:
-    """H(X | U_known) in bits: the rank of X on the unknown bit columns."""
+    """H(X | U_known) in bits: the rank of X on the unknown bit columns.
+
+    Raises ValueError for a known id outside 1..n.
+    """
     _require_wellformed(scheme)
-    return _entropy(scheme.global_rows(), scheme.offsets(), known)
+    known = tuple(known)
+    ids = range(1, len(scheme.msg_bits) + 1)
+    for i in known:
+        if i not in ids:
+            raise ValueError(f"known message id {i!r} is outside 1..{len(ids)}")
+    unknown = _col_mask(scheme.offsets(), set(ids) - set(known))
+    return rank_of(row & unknown for row in scheme.global_rows())
+
+
+def _eliminate_outside(
+    rows: Sequence[int], off: Sequence[int], knows: Iterable[int], K: Iterable[int]
+) -> tuple[int, list[int]]:
+    """One user's elimination (see the module docstring): H(X | U_A) and Z.
+
+    U is the set of messages outside A = knows and K; Z is a basis of the
+    combinations of rows that vanish on U's columns, and holds only K's
+    columns.
+    """
+    total = off[-1]
+    kmask = _col_mask(off, K)
+    umask = _col_mask(off, set(range(1, len(off))) - set(knows) - set(K))
+    # K's columns move above U's, so every row whose lowest set bit lies
+    # in K's copy is zero on U.
+    pivots, reduced = rref([(row & umask) | (row & kmask) << total for row in rows], 2 * total)
+    r_u = sum(1 for c in pivots if c < total)
+    return len(pivots), [row >> total for row in reduced[r_u:]]
+
+
+def _capacity(Z: Sequence[int], off: Sequence[int], J: Iterable[int]) -> int:
+    """kappa_J = rank(Z on J's columns), Z from _eliminate_outside."""
+    jmask = _col_mask(off, J)
+    return rank_of(z & jmask for z in Z)
 
 
 def kappa(
@@ -112,9 +148,9 @@ def kappa(
     spec = inst.users[user - 1]
     if not jset or not jset <= kset or not jset & spec.demands:
         raise InvalidDecodingSet(f"user {user}: need nonempty J <= K meeting D")
-    ak = spec.knows | kset
-    rows, off = scheme.global_rows(), scheme.offsets()
-    return _entropy(rows, off, ak - jset) - _entropy(rows, off, ak)
+    off = scheme.offsets()
+    _, Z = _eliminate_outside(scheme.global_rows(), off, spec.knows, kset)
+    return _capacity(Z, off, jset)
 
 
 @dataclass(frozen=True)
@@ -154,20 +190,18 @@ def check_scheme(
     channel_use = []
     channel_ok = []
     mac: list[dict[frozenset[int], tuple[int, bool]]] = []
-    for user, (spec, K) in enumerate(zip(inst.users, choice.sets), start=1):
-        use = _entropy(rows, off, spec.knows)
+    for spec, K in zip(inst.users, choice.sets):
+        use, Z = _eliminate_outside(rows, off, spec.knows, K)
         channel_use.append(use)
         channel_ok.append(use <= c)
         entry: dict[frozenset[int], tuple[int, bool]] = {}
-        ak = spec.knows | K
-        h_ak = _entropy(rows, off, ak)
         for r in range(1, len(K) + 1):
             for J in combinations(sorted(K), r):
                 jset = frozenset(J)
                 if not jset & spec.demands:
                     continue
-                cap = _entropy(rows, off, ak - jset) - h_ak
-                need = sum(scheme.msg_bits[i - 1] for i in jset)
+                cap = _capacity(Z, off, J)
+                need = sum(scheme.msg_bits[i - 1] for i in J)
                 entry[jset] = (cap, need <= cap)
         mac.append(entry)
 

@@ -1,5 +1,6 @@
 """Coded caching: placement, delivery, decoding, loads, reduction."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -12,6 +13,7 @@ from icl.caching import (
     DeliveryTranscript,
     DomainError,
     EmptyDemand,
+    FileLibrary,
     Indivisible,
     Payload,
     canonical_worst_demand,
@@ -445,3 +447,82 @@ def test_decode_matches_bit_by_bit_reference():
         outcomes.add(expected[1] if isinstance(expected, tuple) else expected == [lib.files[i - 1] for i in d])
     # Clean decodes, wrong decodes and both kinds of failure all occur.
     assert outcomes == {True, False, "inconsistent", "undetermined"}
+
+
+def _placement_digest(cache, sub):
+    """Key order, positions and values of a placement, and every user's cache."""
+    h = hashlib.sha256()
+    for key, pos in sub.positions.items():
+        h.update(repr((key[0], sorted(key[1]), pos.tolist(), sub.values[key])).encode())
+    for contents in cache.contents:
+        h.update(repr([(key[0], sorted(key[1]), v) for key, v in contents.items()]).encode())
+    return h.hexdigest()[:16]
+
+
+def _subfile_table(sub):
+    return [(key, pos.tolist(), sub.values[key]) for key, pos in sub.positions.items()]
+
+
+def test_centralized_placement_is_pinned():
+    _, sub = cman_place(3, 1, FileLibrary((0b101101, 0b011011), 6))
+    assert _subfile_table(sub) == [
+        ((1, frozenset({1})), [0, 1], 1),
+        ((1, frozenset({2})), [2, 3], 3),
+        ((1, frozenset({3})), [4, 5], 2),
+        ((2, frozenset({1})), [0, 1], 3),
+        ((2, frozenset({2})), [2, 3], 2),
+        ((2, frozenset({3})), [4, 5], 1),
+    ]
+    for args, want in [
+        ((4, 2, random_library(3, 6 * 5, seed=31)), "7a6891de901d3b11"),
+        ((5, 0, random_library(2, 7, seed=32)), "fcb556a59ef17673"),
+    ]:
+        assert _placement_digest(*cman_place(*args)) == want, args[:2]
+
+
+def test_decentralized_placement_is_pinned():
+    # Groups come in increasing cached-by code (bit k-1 for user k), each
+    # with its positions ascending.
+    _, sub = dman_place(2, 1, FileLibrary((0b10110110, 0b01101101), 8), seed=3)
+    assert _subfile_table(sub) == [
+        ((1, frozenset()), [0, 6, 7], 4),
+        ((1, frozenset({1})), [1], 1),
+        ((1, frozenset({2})), [5], 1),
+        ((1, frozenset({1, 2})), [2, 3, 4], 5),
+        ((2, frozenset({1})), [2, 3, 5, 6, 7], 15),
+        ((2, frozenset({2})), [4], 0),
+        ((2, frozenset({1, 2})), [0, 1], 1),
+    ]
+    for args, want in [
+        ((4, Fraction(3, 2), random_library(3, 300, seed=33), 34), "faa765002b62a4aa"),
+        ((9, 1, random_library(2, 500, seed=35), 36), "da0b2107c9249be2"),
+        ((20, Fraction(1, 3), random_library(1, 400, seed=37), 38), "b43daa0dc1031746"),
+        ((40, 1, random_library(2, 100, seed=39), 40), "bd050d4e618a6ab4"),
+        ((64, 1, random_library(2, 64, seed=5), 5), "4ff9bb0f89a45559"),
+    ]:
+        assert _placement_digest(*dman_place(*args)) == want, args[0]
+
+
+def test_decentralized_placement_at_64_users_follows_the_draws():
+    K, N, B, seed = 64, 2, 64, 5
+    lib = random_library(N, B, seed=seed)
+    cache, sub = dman_place(K, 1, lib, seed=seed)
+    # The documented draw: users outer, files inner, bit cached iff
+    # integers(0, 2) < 1 for M/N = 1/2.
+    rng = np.random.default_rng(seed)
+    draws = [[rng.integers(0, 2, size=B) < 1 for _ in range(N)] for _ in range(K)]
+    for k in range(1, K + 1):
+        for i in range(1, N + 1):
+            held = sorted(
+                p for key in cache.contents[k - 1] if key[0] == i for p in sub.positions[key]
+            )
+            assert held == np.flatnonzero(draws[k - 1][i - 1]).tolist(), (k, i)
+    for key, pos in sub.positions.items():
+        bits = [lib.files[key[0] - 1] >> int(p) & 1 for p in pos]
+        assert sub.values[key] == sum(b << j for j, b in enumerate(bits))
+
+
+def test_decentralized_placement_refuses_more_than_64_users():
+    lib = random_library(2, 64, seed=5)
+    with pytest.raises(DomainError, match="at most 64 users, got 65"):
+        dman_place(65, 1, lib, seed=5)

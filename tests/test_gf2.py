@@ -83,3 +83,49 @@ def test_nullspace_restricted_columns():
 
 def test_full_rank_matrix_has_trivial_nullspace():
     assert nullspace([0b01, 0b10], 2) == []
+
+
+def _dense_gauss_jordan(rows, cols):
+    """Reference RREF on a dense 0/1 matrix, column 0 first: (pivots, rows)."""
+    m = np.zeros((len(rows), cols), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        m[i] = [row >> j & 1 for j in range(cols)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        hit = np.flatnonzero(m[r:, c])
+        if not hit.size:
+            continue
+        m[[r, r + hit[0]]] = m[[r + hit[0], r]]
+        for other in np.flatnonzero(m[:, c]):
+            if other != r:
+                m[other] ^= m[r]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    packed = [sum(int(b) << j for j, b in enumerate(m[i])) for i in range(r)]
+    return pivots, packed
+
+
+def _dense_nullspace(rows, cols, allowed):
+    """Reference null-space basis: one vector per free allowed column, ascending."""
+    pivots, reduced = _dense_gauss_jordan([row & allowed for row in rows], cols)
+    out = []
+    for f in range(cols):
+        if allowed >> f & 1 and f not in pivots:
+            out.append((1 << f) | sum(1 << p for p, row in zip(pivots, reduced) if row >> f & 1))
+    return out
+
+
+def test_rref_and_nullspace_match_dense_gauss_jordan():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        cols = int(rng.integers(0, 70))
+        rows = _random_rows(rng, cols, int(rng.integers(0, 14)))
+        assert rref(rows, cols) == _dense_gauss_jordan(rows, cols)
+        allowed = _random_rows(rng, cols, 1)[0] if rng.random() < 0.5 else (1 << cols) - 1
+        expected = _dense_nullspace(rows, cols, allowed)
+        if allowed == (1 << cols) - 1:
+            assert nullspace(rows, cols) == expected
+        assert nullspace(rows, cols, allowed=allowed) == expected

@@ -1,17 +1,21 @@
 """GF(2) linear schemes: certification, zero-error decoding, embedding."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import icl
+from icl.caching import canonical_worst_demand, synthesize_delivery_scheme
 from icl.composite import DecodingChoice, build_composite_lp, check_rate_point, max_symmetric_rate
-from icl.gf2 import Gf2Matrix
-from icl.instance import builtin_instance
+from icl.gf2 import Gf2Matrix, rank_of
+from icl.instance import IndexCodingInstance, UserSpec, builtin_instance
 from icl.schemes import (
     EnumerationTooLarge,
     InvalidDecodingSet,
     LinearScheme,
+    SchemeVerdict,
     builtin_scheme,
     check_scheme,
     conditional_entropy,
@@ -152,3 +156,144 @@ def test_kappa_rejects_bad_message_sets(J):
 def test_invalid_decoding_set_is_one_class():
     assert icl.InvalidDecodingSet is InvalidDecodingSet is icl.composite.InvalidDecodingSet
     assert issubclass(InvalidDecodingSet, ValueError)
+
+
+def _check_scheme_by_subsets(inst, scheme, choice=None):
+    """Reference certification: every entropy is a rank of the full rows.
+
+    H(X | U_T) is the rank of X on the columns of the messages outside
+    T, taken afresh for the channel use and for each J.
+    """
+    if choice is None:
+        choice = DecodingChoice(tuple(spec.demands for spec in inst.users))
+    rows, off = scheme.global_rows(), scheme.offsets()
+
+    def entropy(known):
+        unknown = 0
+        for i in set(inst.message_ids()) - set(known):
+            unknown |= ((1 << (off[i] - off[i - 1])) - 1) << off[i - 1]
+        return rank_of(row & unknown for row in rows)
+
+    channel_use, channel_ok, mac = [], [], []
+    for spec, K in zip(inst.users, choice.sets):
+        use = entropy(spec.knows)
+        channel_use.append(use)
+        channel_ok.append(use <= scheme.channel_bits)
+        entry = {}
+        ak = spec.knows | K
+        h_ak = entropy(ak)
+        for r in range(1, len(K) + 1):
+            for J in combinations(sorted(K), r):
+                jset = frozenset(J)
+                if not jset & spec.demands:
+                    continue
+                cap = entropy(ak - jset) - h_ak
+                entry[jset] = (cap, sum(scheme.msg_bits[i - 1] for i in jset) <= cap)
+        mac.append(entry)
+    demanded = set().union(*(spec.demands for spec in inst.users))
+    sym = Fraction(min(scheme.msg_bits[i - 1] for i in demanded), scheme.channel_bits)
+    return SchemeVerdict(tuple(channel_use), tuple(channel_ok), tuple(mac), sym)
+
+
+def _assert_same_verdict(inst, scheme, choice):
+    got = check_scheme(inst, scheme, choice)
+    want = _check_scheme_by_subsets(inst, scheme, choice)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+def _demands_up_to_relabeling(K):
+    """Every demand vector whose files appear in first-use order 1, 2, ..."""
+    if K == 0:
+        yield ()
+        return
+    for head in _demands_up_to_relabeling(K - 1):
+        for f in range(1, max(head, default=0) + 2):
+            yield head + (f,)
+
+
+@pytest.mark.parametrize("K", range(1, 6))
+def test_check_scheme_matches_subset_ranks_on_every_small_delivery(K):
+    for d in _demands_up_to_relabeling(K):
+        for t in range(K):
+            for k_bits in (1, 2):
+                _assert_same_verdict(*synthesize_delivery_scheme(K, max(d), t, d, k_bits))
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_check_scheme_matches_subset_ranks_on_six_user_deliveries(N):
+    d = canonical_worst_demand(6, N)
+    for t in range(6):
+        for k_bits in (1, 2):
+            _assert_same_verdict(*synthesize_delivery_scheme(6, N, t, d, k_bits))
+
+
+@st.composite
+def _instances_schemes_and_choices(draw):
+    n = draw(st.integers(1, 5))
+    # Per user and message: 0 neither, 1 demanded, 2 known.
+    role = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    roles = draw(st.lists(role, min_size=1, max_size=4))
+    for user in roles:
+        if 1 not in user:
+            user[draw(st.integers(0, n - 1))] = 1
+    for i in range(n):
+        if not any(user[i] for user in roles):
+            roles[0][i] = 1
+    users = tuple(
+        UserSpec.of(
+            (i + 1 for i, r in enumerate(user) if r == 1),
+            (i + 1 for i, r in enumerate(user) if r == 2),
+        )
+        for user in roles
+    )
+    inst = IndexCodingInstance(n, users)
+    bits = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    off = [0]
+    for L in bits:
+        off.append(off[-1] + L)
+    composites = []
+    for _ in range(draw(st.integers(0, 3))):
+        P = draw(st.frozensets(st.integers(1, n), min_size=1))
+        support = sum(((1 << bits[i - 1]) - 1) << off[i - 1] for i in P)
+        rows = draw(st.lists(st.integers(0, (1 << off[-1]) - 1), max_size=3))
+        composites.append((P, Gf2Matrix(tuple(row & support for row in rows), off[-1])))
+    scheme = LinearScheme(tuple(bits), draw(st.integers(1, 4)), tuple(composites))
+    sets = []
+    for spec in users:
+        free = sorted(set(inst.message_ids()) - spec.knows - spec.demands)
+        extra = draw(st.frozensets(st.sampled_from(free))) if free else frozenset()
+        sets.append(spec.demands | extra)
+    return inst, scheme, DecodingChoice(tuple(sets))
+
+
+@settings(max_examples=300)
+@given(_instances_schemes_and_choices())
+def test_check_scheme_matches_subset_ranks_on_random_schemes(case):
+    inst, scheme, choice = case
+    verdict = _assert_same_verdict(inst, scheme, choice)
+    _assert_same_verdict(inst, scheme, None)
+    for user, (K, entry) in enumerate(zip(choice.sets, verdict.mac), start=1):
+        for J, (cap, _) in entry.items():
+            assert kappa(inst, scheme, user, J, K) == cap
+
+
+@pytest.mark.parametrize("user", [0, -1, 7])
+def test_kappa_refuses_users_out_of_range(user):
+    with pytest.raises(ValueError, match=rf"^user {user} is outside 1\.\.6$"):
+        kappa(EX1, EX2, user, {1}, {1})
+
+
+def test_kappa_refuses_a_third_user_of_two():
+    inst = builtin_instance("xor2")
+    scheme = LinearScheme((1, 1), 1, ((frozenset({1, 2}), Gf2Matrix((0b11,), 2)),))
+    with pytest.raises(ValueError, match=r"^user 3 is outside 1\.\.2$"):
+        kappa(inst, scheme, 3, {1}, {1})
+
+
+@pytest.mark.parametrize("known", [{3}, {0}, {-1}, {1, 7}])
+def test_conditional_entropy_refuses_unknown_ids(known):
+    scheme = LinearScheme((1, 1), 1, ((frozenset({1, 2}), Gf2Matrix((0b11,), 2)),))
+    with pytest.raises(ValueError, match=r"is outside 1\.\.2$"):
+        conditional_entropy(scheme, known)
