@@ -235,9 +235,10 @@ def dman_place(
     ]
     positions: dict[SubfileKey, np.ndarray] = {}
     values: dict[SubfileKey, int] = {}
-    # The narrowest type that holds K bits sorts fastest; past 32 users
-    # the code is int64, whose sign bit holds user 64.
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64) if K <= np.iinfo(t).bits)
+    # NumPy's stable argsort radix-sorts codes of at most 16 bits, about ten
+    # times faster than it sorts int64 codes.  Past 16 users the code is
+    # int64, whose sign bit holds user 64; the order is np.unique's either way.
+    dtype = np.uint16 if K <= 16 else np.int64
     for i, packed in enumerate(library.files, start=1):
         code = np.zeros(B, dtype=dtype)
         for k in range(1, K + 1):
@@ -396,14 +397,14 @@ def decode_all_users(
     spots = {
         i: np.concatenate([layout[key] for key, _ in parts[i]]) for i in set(d) if i in parts
     }
+    if d[0] not in parts:
+        raise ValueError(f"user 1 demands unknown file {d[0]}")
+    symbols, eqs, width = _decode_columns(layout, transcript.payloads, d)
+    n = len(symbols)
     out: list[int] = []
     for k in range(1, K + 1):
         if d[k - 1] not in parts:
             raise ValueError(f"user {k} demands unknown file {d[k - 1]}")
-        if k == 1:
-            # Built once, after user 1's file check, so that check still comes first.
-            symbols, eqs, width = _decode_columns(layout, transcript.payloads, d)
-            n = len(symbols)
         cached = cache.contents[k - 1]
         # Payload -> equation: mask over unknown symbols, rhs above it.
         rows = []

@@ -22,7 +22,7 @@ class Gf2Matrix:
                 raise ValueError(f"row {r} has bits outside {self.cols} columns")
 
 
-def _echelon(rows: Iterable[int]) -> dict[int, int]:
+def echelon(rows: Iterable[int]) -> dict[int, int]:
     """Forward elimination: pivot column -> row whose lowest set bit it is."""
     pivots: dict[int, int] = {}
     for row in rows:
@@ -37,7 +37,7 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
 
 def rank_of(rows: Iterable[int]) -> int:
     """Rank of packed rows; elimination pivots on each row's lowest set bit."""
-    return len(_echelon(rows))
+    return len(echelon(rows))
 
 
 def rank_gf2(m: Gf2Matrix) -> int:
@@ -51,7 +51,7 @@ def rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     them); each pivot column has exactly one set bit across the rows,
     and it is the lowest set bit of its own row.
     """
-    basis = _echelon(rows)
+    basis = echelon(rows)
     pivcols = sorted(basis)
     pivmask = sum(1 << c for c in pivcols)
     # Back-substitute, highest pivot first: the rows above are already

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .composite import DecodingChoice, InvalidDecodingSet, _check_choice, check_decoding_set
-from .gf2 import Gf2Matrix, nullspace, rank_of, rref
+from .gf2 import Gf2Matrix, echelon, nullspace, rank_of
 from .instance import IndexCodingInstance, UnknownName, require_valid_instance
 
 _ENUM_LIMIT = 20
@@ -121,11 +121,11 @@ def _eliminate_outside(
     total = off[-1]
     kmask = _col_mask(off, K)
     umask = _col_mask(off, set(range(1, len(off))) - set(knows) - set(K))
-    # K's columns move above U's, so every row whose lowest set bit lies
-    # in K's copy is zero on U.
-    pivots, reduced = rref([(row & umask) | (row & kmask) << total for row in rows], 2 * total)
-    r_u = sum(1 for c in pivots if c < total)
-    return len(pivots), [row >> total for row in reduced[r_u:]]
+    # K's columns move above U's.  Echelon rows have distinct lowest set
+    # bits, so a combination that takes a row pivoting on U is nonzero on
+    # U; the rows pivoting in K's copy therefore span Z.
+    basis = echelon((row & umask) | (row & kmask) << total for row in rows)
+    return len(basis), [row >> total for c, row in basis.items() if c >= total]
 
 
 def _capacity(Z: Sequence[int], off: Sequence[int], J: Iterable[int]) -> int:

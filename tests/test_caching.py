@@ -496,6 +496,8 @@ def test_decentralized_placement_is_pinned():
     for args, want in [
         ((4, Fraction(3, 2), random_library(3, 300, seed=33), 34), "faa765002b62a4aa"),
         ((9, 1, random_library(2, 500, seed=35), 36), "da0b2107c9249be2"),
+        ((16, 1, random_library(2, 200, seed=41), 42), "8a5e539384cac7d1"),
+        ((17, 1, random_library(2, 200, seed=43), 44), "7513e93808ce59aa"),
         ((20, Fraction(1, 3), random_library(1, 400, seed=37), 38), "b43daa0dc1031746"),
         ((40, 1, random_library(2, 100, seed=39), 40), "bd050d4e618a6ab4"),
         ((64, 1, random_library(2, 64, seed=5), 5), "4ff9bb0f89a45559"),
