@@ -187,11 +187,11 @@ def _cmd_linear_check(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     scheme = _load_scheme(args.scheme)
     verdict = check_scheme(inst, scheme)
-    for j, used in enumerate(verdict.channel_use, start=1):
-        macs = verdict.mac[j - 1]
-        bad = [J for J, (_, ok) in macs.items() if not ok]
-        status = "ok" if used <= scheme.channel_bits and not bad else "FAIL"
-        print(f"user {j}: channel use {used}/{scheme.channel_bits}, {len(macs)} joint-decoding checks: {status}")
+    per_user = zip(inst.users, verdict.channel_use, verdict.channel_ok, verdict.decodes)
+    for j, (spec, used, fits, decodes) in enumerate(per_user, start=1):
+        checks = 2 ** len(spec.demands) - 1  # the J <= K_j = D_j that meet D_j
+        status = "ok" if fits and decodes else "FAIL"
+        print(f"user {j}: channel use {used}/{scheme.channel_bits}, {checks} joint-decoding checks: {status}")
     print(f"symmetric rate {_frac(verdict.symmetric_rate)}  [per channel bit]")
     print("PASS" if verdict.passed else "FAIL")
     return 0 if verdict.passed else 1

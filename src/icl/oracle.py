@@ -18,7 +18,7 @@ from typing import Iterable
 from .gf2 import Gf2Matrix
 from .instance import IndexCodingInstance
 from .lp import Constraint, LinearProgram
-from .schemes import LinearScheme, zero_error_decode_check
+from .schemes import LinearScheme, _unknown_ids, zero_error_decode_check
 
 
 class BudgetExceeded(Exception):
@@ -183,16 +183,10 @@ def exhaustive_conditional_entropy(scheme: LinearScheme, known: Iterable[int] = 
     to zero; a linear map's image size is translation invariant),
     collects the distinct channel outputs, and returns log2 of their
     count, which for a linear map is always an integer.  Raises TooLarge
-    beyond 20 unknown bits.
+    beyond 20 unknown bits and ValueError for a known id outside 1..n.
     """
     offs = scheme.offsets()
-    known = set(known)
-    cols = [
-        b
-        for i in range(1, len(scheme.msg_bits) + 1)
-        if i not in known
-        for b in range(offs[i - 1], offs[i])
-    ]
+    cols = [b for i in _unknown_ids(scheme, known) for b in range(offs[i - 1], offs[i])]
     if len(cols) > 20:
         raise TooLarge(f"exhaustive entropy handles <= 20 unknown bits, got {len(cols)}")
     rows = scheme.global_rows()

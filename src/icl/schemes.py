@@ -19,15 +19,17 @@ reduce the rows on U's columns, of rank r_U, and keep Z, the K-parts of
 the combinations of rows that vanish on U.  Row operations keep the rank
 of every column restriction, so H(X | U_{A | K \\ J}) = r_U + rank(Z on
 J's columns) and H(X | U_{A | K}) = r_U, hence kappa_J = rank(Z on J's
-columns), one small rank per subset J; the channel use H(X | U_A) is the
-rank of the whole elimination.
+columns); the channel use H(X | U_A) is the rank of the whole
+elimination.  Since kappa_J never exceeds J's bit count and K is itself
+one of the J, every bound holds exactly when Z has full column rank on
+K.  Z's echelon rows have distinct pivots, so that rank is the number of
+rows of Z: one rank per user, not one per subset J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .composite import DecodingChoice, InvalidDecodingSet, _check_choice, check_decoding_set
@@ -94,18 +96,26 @@ def _col_mask(off: Sequence[int], messages: Iterable[int]) -> int:
     return mask
 
 
+def _unknown_ids(scheme: LinearScheme, known: Iterable[int]) -> list[int]:
+    """The message ids outside known, ascending.
+
+    Raises ValueError for a known id outside 1..n.
+    """
+    known = tuple(known)
+    ids = range(1, len(scheme.msg_bits) + 1)
+    for i in known:
+        if i not in ids:
+            raise ValueError(f"known message id {i!r} is outside 1..{len(ids)}")
+    return [i for i in ids if i not in known]
+
+
 def conditional_entropy(scheme: LinearScheme, known: Iterable[int] = ()) -> int:
     """H(X | U_known) in bits: the rank of X on the unknown bit columns.
 
     Raises ValueError for a known id outside 1..n.
     """
     _require_wellformed(scheme)
-    known = tuple(known)
-    ids = range(1, len(scheme.msg_bits) + 1)
-    for i in known:
-        if i not in ids:
-            raise ValueError(f"known message id {i!r} is outside 1..{len(ids)}")
-    unknown = _col_mask(scheme.offsets(), set(ids) - set(known))
+    unknown = _col_mask(scheme.offsets(), _unknown_ids(scheme, known))
     return rank_of(row & unknown for row in scheme.global_rows())
 
 
@@ -128,12 +138,6 @@ def _eliminate_outside(
     return len(basis), [row >> total for c, row in basis.items() if c >= total]
 
 
-def _capacity(Z: Sequence[int], off: Sequence[int], J: Iterable[int]) -> int:
-    """kappa_J = rank(Z on J's columns), Z from _eliminate_outside."""
-    jmask = _col_mask(off, J)
-    return rank_of(z & jmask for z in Z)
-
-
 def kappa(
     inst: IndexCodingInstance,
     scheme: LinearScheme,
@@ -150,23 +154,26 @@ def kappa(
         raise InvalidDecodingSet(f"user {user}: need nonempty J <= K meeting D")
     off = scheme.offsets()
     _, Z = _eliminate_outside(scheme.global_rows(), off, spec.knows, kset)
-    return _capacity(Z, off, jset)
+    jmask = _col_mask(off, jset)
+    return rank_of(z & jmask for z in Z)
 
 
 @dataclass(frozen=True)
 class SchemeVerdict:
-    """Per-user certification outcome; mac maps J to (kappa_J, ok)."""
+    """Per-user certification outcome.
+
+    decodes[j-1] says user j meets every joint-decoding bound: its Z
+    (see the module docstring) has full column rank on K_j.
+    """
 
     channel_use: tuple[int, ...]
     channel_ok: tuple[bool, ...]
-    mac: tuple[dict[frozenset[int], tuple[int, bool]], ...]
+    decodes: tuple[bool, ...]
     symmetric_rate: Fraction
 
     @property
     def passed(self) -> bool:
-        return all(self.channel_ok) and all(
-            ok for user in self.mac for (_, ok) in user.values()
-        )
+        return all(self.channel_ok) and all(self.decodes)
 
 
 def check_scheme(
@@ -189,25 +196,16 @@ def check_scheme(
     rows, off = scheme.global_rows(), scheme.offsets()
     channel_use = []
     channel_ok = []
-    mac: list[dict[frozenset[int], tuple[int, bool]]] = []
+    decodes = []
     for spec, K in zip(inst.users, choice.sets):
         use, Z = _eliminate_outside(rows, off, spec.knows, K)
         channel_use.append(use)
         channel_ok.append(use <= c)
-        entry: dict[frozenset[int], tuple[int, bool]] = {}
-        for r in range(1, len(K) + 1):
-            for J in combinations(sorted(K), r):
-                jset = frozenset(J)
-                if not jset & spec.demands:
-                    continue
-                cap = _capacity(Z, off, J)
-                need = sum(scheme.msg_bits[i - 1] for i in J)
-                entry[jset] = (cap, need <= cap)
-        mac.append(entry)
+        decodes.append(len(Z) == sum(scheme.msg_bits[i - 1] for i in K))
 
     demanded = sorted(set().union(*(spec.demands for spec in inst.users)))
     sym = Fraction(min(scheme.msg_bits[i - 1] for i in demanded), c)
-    return SchemeVerdict(tuple(channel_use), tuple(channel_ok), tuple(mac), sym)
+    return SchemeVerdict(tuple(channel_use), tuple(channel_ok), tuple(decodes), sym)
 
 
 def zero_error_decode_check(

@@ -265,6 +265,8 @@ def test_synthesized_scheme_certifies_known_loads():
         (4, 2, 1, (1, 2, 1, 2), Fraction(5, 4)),
         (3, 3, 1, (1, 2, 3), Fraction(1)),
         (2, 1, 1, (1, 1), Fraction(1, 2)),
+        # Each user decodes 21 subfiles: 2^21 - 1 sets J, settled by one rank.
+        (8, 8, 2, tuple(range(1, 9)), r_cman(8, 2)),
     ]:
         report = verify_delivery_scheme(K, N, t, d)
         assert report.passed, (K, N, t, d, report)

@@ -177,6 +177,71 @@ def test_linear_check_fail_truncated(tmp_path, capsys):
     assert out.rstrip().endswith("FAIL")
 
 
+def _user_lines(use, checks, statuses):
+    return "".join(
+        f"user {j}: channel use {use}, {checks} joint-decoding checks: {status}\n"
+        for j, status in enumerate(statuses, start=1)
+    )
+
+
+# Byte-exact linear-check stdout: (None, or the cache synthesize
+# arguments and stdout that write the files first; --instance, --scheme,
+# exit code, stdout).  Each synthesized user demands 3 and 6 one-bit
+# messages, so it reports 2^3 - 1 and 2^6 - 1 joint-decoding checks.
+LINEAR_CHECK_PINS = {
+    "example2": (
+        None, "example1", "example2", 0,
+        "instance: builtin example1\nscheme: builtin example2\n"
+        + _user_lines("3/3", 1, ["ok"] * 6)
+        + "symmetric rate 1/3 (0.333333)  [per channel bit]\nPASS\n",
+    ),
+    "example2-truncated": (
+        None, "example1", "trunc.sch", 1,
+        "instance: builtin example1\nscheme: trunc.sch\n"
+        + _user_lines("2/3", 1, ["ok"] * 2 + ["FAIL"] * 4)
+        + "symmetric rate 1/3 (0.333333)  [per channel bit]\nFAIL\n",
+    ),
+    "synthesized-4-2-1": (
+        (
+            ("--K", "4", "--N", "2", "--t", "1", "--demands", "1,2,1,2"),
+            "messages 8  channel bits 5\nload 5/4 (1.250000)  [channel bits per file]\n"
+            "closed form 5/4 (1.250000)\nPASS\n",
+        ),
+        "syn.ic", "syn.sch", 0,
+        "instance: syn.ic\nscheme: syn.sch\n"
+        + _user_lines("5/5", 7, ["ok"] * 4)
+        + "symmetric rate 1/5 (0.200000)  [per channel bit]\nPASS\n",
+    ),
+    "synthesized-5-3-2": (
+        (
+            ("--K", "5", "--N", "3", "--t", "2", "--demands", "1,2,3,1,1"),
+            "messages 30  channel bits 10\nload 1/1 (1.000000)  [channel bits per file]\n"
+            "closed form 1/1 (1.000000)\nPASS\n",
+        ),
+        "syn.ic", "syn.sch", 0,
+        "instance: syn.ic\nscheme: syn.sch\n"
+        + _user_lines("10/10", 63, ["ok"] * 5)
+        + "symmetric rate 1/10 (0.100000)  [per channel bit]\nPASS\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LINEAR_CHECK_PINS)
+def test_linear_check_stdout_is_pinned(tmp_path, monkeypatch, capsys, case):
+    synth, instance, scheme, code, stdout = LINEAR_CHECK_PINS[case]
+    monkeypatch.chdir(tmp_path)
+    s = builtin_scheme("example2")
+    (tmp_path / "trunc.sch").write_text(
+        format_scheme(LinearScheme(s.msg_bits, s.channel_bits, s.composites[:2]))
+    )
+    if synth is not None:
+        argv, synth_stdout = synth
+        header = f"wrote instance to {instance}\nwrote scheme to {scheme}\n"
+        argv += ("--out-instance", instance, "--out-scheme", scheme)
+        assert run_cli(capsys, "cache", "synthesize", *argv) == (0, header + synth_stdout, "")
+    assert run_cli(capsys, "linear-check", "--instance", instance, "--scheme", scheme) == (code, stdout, "")
+
+
 def test_zero_error_both_modes(capsys):
     for mode in ("algebraic", "enumerate"):
         code, out, _ = run_cli(

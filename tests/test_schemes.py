@@ -11,11 +11,11 @@ from icl.caching import canonical_worst_demand, synthesize_delivery_scheme
 from icl.composite import DecodingChoice, build_composite_lp, check_rate_point, max_symmetric_rate
 from icl.gf2 import Gf2Matrix, rank_of
 from icl.instance import IndexCodingInstance, UserSpec, builtin_instance
+from icl.oracle import exhaustive_conditional_entropy
 from icl.schemes import (
     EnumerationTooLarge,
     InvalidDecodingSet,
     LinearScheme,
-    SchemeVerdict,
     builtin_scheme,
     check_scheme,
     conditional_entropy,
@@ -162,7 +162,9 @@ def _check_scheme_by_subsets(inst, scheme, choice=None):
     """Reference certification: every entropy is a rank of the full rows.
 
     H(X | U_T) is the rank of X on the columns of the messages outside
-    T, taken afresh for the channel use and for each J.
+    T, taken afresh for the channel use and for each J.  Returns the
+    channel use, channel_ok, per user the table J -> (kappa_J, ok) over
+    every J <= K_j meeting D_j, and the symmetric rate.
     """
     if choice is None:
         choice = DecodingChoice(tuple(spec.demands for spec in inst.users))
@@ -174,12 +176,12 @@ def _check_scheme_by_subsets(inst, scheme, choice=None):
             unknown |= ((1 << (off[i] - off[i - 1])) - 1) << off[i - 1]
         return rank_of(row & unknown for row in rows)
 
-    channel_use, channel_ok, mac = [], [], []
+    channel_use, channel_ok, tables = [], [], []
     for spec, K in zip(inst.users, choice.sets):
         use = entropy(spec.knows)
         channel_use.append(use)
         channel_ok.append(use <= scheme.channel_bits)
-        entry = {}
+        table = {}
         ak = spec.knows | K
         h_ak = entropy(ak)
         for r in range(1, len(K) + 1):
@@ -188,18 +190,26 @@ def _check_scheme_by_subsets(inst, scheme, choice=None):
                 if not jset & spec.demands:
                     continue
                 cap = entropy(ak - jset) - h_ak
-                entry[jset] = (cap, sum(scheme.msg_bits[i - 1] for i in jset) <= cap)
-        mac.append(entry)
+                table[jset] = (cap, sum(scheme.msg_bits[i - 1] for i in jset) <= cap)
+        tables.append(table)
     demanded = set().union(*(spec.demands for spec in inst.users))
     sym = Fraction(min(scheme.msg_bits[i - 1] for i in demanded), scheme.channel_bits)
-    return SchemeVerdict(tuple(channel_use), tuple(channel_ok), tuple(mac), sym)
+    return tuple(channel_use), tuple(channel_ok), tuple(tables), sym
 
 
 def _assert_same_verdict(inst, scheme, choice):
+    """check_scheme agrees with the subset reference; returns its verdict."""
     got = check_scheme(inst, scheme, choice)
-    want = _check_scheme_by_subsets(inst, scheme, choice)
-    assert got == want
-    assert repr(got) == repr(want)
+    channel_use, channel_ok, tables, sym = _check_scheme_by_subsets(inst, scheme, choice)
+    assert got.channel_use == channel_use
+    assert got.channel_ok == channel_ok
+    assert got.symmetric_rate == sym
+    assert got.decodes == tuple(all(ok for _, ok in table.values()) for table in tables)
+    assert got.passed == (all(channel_ok) and all(ok for table in tables for _, ok in table.values()))
+    sets = choice.sets if choice is not None else tuple(spec.demands for spec in inst.users)
+    for user, (K, table) in enumerate(zip(sets, tables), start=1):
+        for J, (cap, _) in table.items():
+            assert kappa(inst, scheme, user, J, K) == cap
     return got
 
 
@@ -227,6 +237,22 @@ def test_check_scheme_matches_subset_ranks_on_six_user_deliveries(N):
     for t in range(6):
         for k_bits in (1, 2):
             _assert_same_verdict(*synthesize_delivery_scheme(6, N, t, d, k_bits))
+
+
+@pytest.mark.parametrize("K", range(1, 5))
+def test_check_scheme_and_subset_ranks_fail_a_delivery_with_one_bit_cleared(K):
+    # Clearing one message bit from one XOR leaves the users that demand
+    # that bit one equation short, so both certifications must refuse.
+    for d in _demands_up_to_relabeling(K):
+        for t in range(K):
+            for k_bits in (1, 2):
+                inst, scheme, choice = synthesize_delivery_scheme(K, max(d), t, d, k_bits)
+                for c, (P, mat) in enumerate(scheme.composites):
+                    head, *rest = mat.rows
+                    cleared = Gf2Matrix((head & head - 1, *rest), mat.cols)
+                    composites = scheme.composites[:c] + ((P, cleared),) + scheme.composites[c + 1 :]
+                    broken = LinearScheme(scheme.msg_bits, scheme.channel_bits, composites)
+                    assert not _assert_same_verdict(inst, broken, choice).passed
 
 
 @st.composite
@@ -272,11 +298,8 @@ def _instances_schemes_and_choices(draw):
 @given(_instances_schemes_and_choices())
 def test_check_scheme_matches_subset_ranks_on_random_schemes(case):
     inst, scheme, choice = case
-    verdict = _assert_same_verdict(inst, scheme, choice)
+    _assert_same_verdict(inst, scheme, choice)
     _assert_same_verdict(inst, scheme, None)
-    for user, (K, entry) in enumerate(zip(choice.sets, verdict.mac), start=1):
-        for J, (cap, _) in entry.items():
-            assert kappa(inst, scheme, user, J, K) == cap
 
 
 @pytest.mark.parametrize("user", [0, -1, 7])
@@ -292,8 +315,15 @@ def test_kappa_refuses_a_third_user_of_two():
         kappa(inst, scheme, 3, {1}, {1})
 
 
-@pytest.mark.parametrize("known", [{3}, {0}, {-1}, {1, 7}])
-def test_conditional_entropy_refuses_unknown_ids(known):
+@pytest.mark.parametrize(
+    "known, entropy",
+    [
+        pytest.param(known, entropy, id=f"known{k}{tag}")
+        for entropy, tag in ((conditional_entropy, ""), (exhaustive_conditional_entropy, "-oracle"))
+        for k, known in enumerate(({3}, {0}, {-1}, {1, 7}))
+    ],
+)
+def test_conditional_entropy_refuses_unknown_ids(known, entropy):
     scheme = LinearScheme((1, 1), 1, ((frozenset({1, 2}), Gf2Matrix((0b11,), 2)),))
     with pytest.raises(ValueError, match=r"is outside 1\.\.2$"):
-        conditional_entropy(scheme, known)
+        entropy(scheme, known)
