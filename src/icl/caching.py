@@ -213,8 +213,9 @@ def dman_place(
     independently with probability exactly M/N, drawn from the seeded
     generator (users outer, files inner), then bits are grouped into
     subfiles by their exact cached-by set.  Reproducible given the seed.
-    At most 64 users: the cached-by set of a bit is coded in 64 bits, and
-    dman_deliver enumerates every subset of the users anyway.
+    At most 64 users, since the cached-by set of a bit is coded in 64
+    bits, and M/N in lowest terms has a denominator of at most 2^63, the
+    generator's range.
     """
     K = num_users
     N = library.num_files
@@ -227,6 +228,8 @@ def dman_place(
     if not 0 < M < N:
         raise DomainError(f"cache size must satisfy 0 < M < N, got M={M}, N={N}")
     p = M / N
+    if p.denominator > 1 << 63:
+        raise DomainError(f"M/N must have a denominator of at most 2^63, got M={M}, N={N}")
     rng = np.random.default_rng(seed)
     # cached[k-1][i-1] is a boolean row over file i's bit positions.
     cached = [
@@ -266,43 +269,50 @@ def _payload_keys(users: frozenset[int], d: tuple[int, ...]) -> list[SubfileKey]
     return [(d[s - 1], users - {s}) for s in sorted(users)]
 
 
-def _group_payloads(
-    subfiles: SubfileMap,
-    d: tuple[int, ...],
-    t: int,
-    lead: frozenset[int] | None,
-) -> list[Payload]:
-    """XOR payloads for the size-(t+1) user subsets, lexicographically.
+def _group_payloads(subfiles: SubfileMap, d: tuple[int, ...], lead: frozenset[int]) -> list[Payload]:
+    """XOR payloads over the user sets S that meet lead, read off the layout.
 
-    lead=None keeps every subset; otherwise only subsets meeting the
-    leader set.  Members missing from the subfile map contribute
-    nothing; shorter members are zero-padded to the longest, which for
-    integer XOR needs no explicit padding.  Payloads with no bits are
-    dropped.
+    Subfile (f, W) is a member of S = W | {s} for each user s outside W
+    with d_s = f: user s wants it and the rest of S caches it.  Exactly
+    the sets with a member come out, by size and then lexicographically
+    (the order of itertools.combinations), which is descending order of
+    a mask with user 1 as its top bit.  Shorter members are zero-padded
+    to the longest, which for integer XOR needs no explicit padding.
     """
     K = subfiles.num_users
-    payloads: list[Payload] = []
-    for S in map(frozenset, combinations(range(1, K + 1), t + 1)):
-        if lead is not None and lead.isdisjoint(S):
-            continue
-        bits = 0
-        nbits = 0
-        for key in _payload_keys(S, d):
-            val = subfiles.values.get(key)
-            if val is None:
+    bit = [0] + [1 << K - u for u in range(1, K + 1)]
+    wanted: dict[int, list[int]] = {}
+    for s, f in enumerate(d, start=1):
+        wanted.setdefault(f, []).append(s)
+    leadmask = sum(bit[u] for u in lead)
+    groups: dict[int, list] = {}   # mask of S -> [S, bits, nbits]
+    for (f, W), pos in subfiles.positions.items():
+        wmask = 0
+        for u in W:
+            wmask |= bit[u]
+        for s in wanted.get(f, ()):
+            m = wmask | bit[s]
+            if s in W or not m & leadmask:
                 continue
-            bits ^= val
-            nbits = max(nbits, len(subfiles.positions[key]))
-        if nbits:
-            payloads.append(Payload(S, bits, nbits))
-    return payloads
+            group = groups.get(m)
+            if group is None:
+                group = groups[m] = [W | {s}, 0, 0]
+            group[1] ^= subfiles.values[f, W]
+            if len(pos) > group[2]:
+                group[2] = len(pos)
+    order = sorted(groups, key=lambda m: (m.bit_count(), -m))
+    return [Payload(*groups[m]) for m in order]
 
 
-def _transcript(payloads: list[Payload], subfiles: SubfileMap, mode: str) -> DeliveryTranscript:
+def _deliver(subfiles: SubfileMap, d: Iterable[int], mode: str) -> DeliveryTranscript:
+    """The body of deliver and dman_deliver: full mode keeps every user set."""
+    d = tuple(d)
+    _check_demand(d, subfiles.num_users, subfiles.num_files)
+    lead = frozenset(range(1, subfiles.num_users + 1)) if mode == "full" else leaders(d)
+    payloads = _group_payloads(subfiles, d, lead)
     total = sum(p.nbits for p in payloads)
-    return DeliveryTranscript(
-        tuple(payloads), subfiles.file_bits, total, Fraction(total, subfiles.file_bits), mode
-    )
+    B = subfiles.file_bits
+    return DeliveryTranscript(tuple(payloads), B, total, Fraction(total, B), mode)
 
 
 def deliver(subfiles: SubfileMap, d: Iterable[int], mode: str = "full") -> DeliveryTranscript:
@@ -317,26 +327,19 @@ def deliver(subfiles: SubfileMap, d: Iterable[int], mode: str = "full") -> Deliv
         raise DomainError("deliver requires centralized placement; see dman_deliver")
     if mode not in ("full", "reduced"):
         raise ValueError(f"mode must be 'full' or 'reduced', got {mode!r}")
-    d = tuple(d)
-    _check_demand(d, subfiles.num_users, subfiles.num_files)
-    lead = leaders(d) if mode == "reduced" else None
-    return _transcript(_group_payloads(subfiles, d, subfiles.placement_t, lead), subfiles, mode)
+    return _deliver(subfiles, d, mode)
 
 
 def dman_deliver(subfiles: SubfileMap, d: Iterable[int]) -> DeliveryTranscript:
-    """Decentralized delivery: for each t, the subfiles cached by
-    exactly t users form a group delivered in reduced mode, zero-padding
-    subfiles within each XOR to the longest member.
+    """Decentralized delivery in reduced mode: one XOR payload per user set
+    S that meets the leaders and holds a subfile some s in S wants and the
+    rest of S caches, smallest sets first, zero-padding the subfiles within
+    each XOR to the longest member.  Its cost follows the layout (at most
+    one set per subfile and user), not the 2^K user subsets.
     """
     if subfiles.placement_t is not None:
         raise DomainError("dman_deliver requires decentralized placement; see deliver")
-    d = tuple(d)
-    _check_demand(d, subfiles.num_users, subfiles.num_files)
-    lead = leaders(d)
-    payloads: list[Payload] = []
-    for t in range(subfiles.num_users):
-        payloads.extend(_group_payloads(subfiles, d, t, lead))
-    return _transcript(payloads, subfiles, "decentralized")
+    return _deliver(subfiles, d, "decentralized")
 
 
 def _decode_columns(
@@ -399,6 +402,12 @@ def decode_all_users(
     }
     if d[0] not in parts:
         raise ValueError(f"user 1 demands unknown file {d[0]}")
+    layout_bits = sum(size for _, size in parts[d[0]])
+    if B != layout_bits:
+        raise ValueError(f"transcript has {B}-bit files, the layout {layout_bits}-bit files")
+    strangers = set().union(*(pl.users for pl in transcript.payloads)) - set(range(1, K + 1))
+    if strangers:
+        raise ValueError(f"a payload names user {min(strangers)}, outside 1..{K}")
     symbols, eqs, width = _decode_columns(layout, transcript.payloads, d)
     n = len(symbols)
     out: list[int] = []
@@ -671,7 +680,7 @@ def synthesize_delivery_scheme(
     ids = {key: mid for mid, key in labels.by_id.items()}
     total = inst.num_messages * k_bits
     composites: list[tuple[frozenset[int], Gf2Matrix]] = []
-    for pl in _group_payloads(layout, d, t, leaders(d)):
+    for pl in _group_payloads(layout, d, leaders(d)):
         P = frozenset(ids[key] for key in _payload_keys(pl.users, d))
         rows = tuple(sum(1 << ((i - 1) * k_bits + r) for i in P) for r in range(k_bits))
         composites.append((P, Gf2Matrix(rows, total)))

@@ -3,6 +3,7 @@
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -110,6 +111,27 @@ def test_truncated_transcript_raises_decode_failure():
     assert info.value.user == 1
 
 
+@pytest.mark.parametrize(
+    "tamper, match",
+    [
+        (lambda tr: replace(tr, payloads=tr.payloads + (Payload(frozenset({1, 4}), 1, 4),)),
+         "a payload names user 4, outside 1..3"),
+        (lambda tr: replace(tr, payloads=tr.payloads + (Payload(frozenset({0, 1}), 1, 4),)),
+         "a payload names user 0, outside 1..3"),
+        (lambda tr: replace(tr, file_bits=tr.file_bits - 1),
+         "transcript has 11-bit files, the layout 12-bit files"),
+    ],
+    ids=["user K+1", "user 0", "file bits"],
+)
+def test_decode_refuses_a_transcript_foreign_to_the_layout(tamper, match):
+    lib = random_library(2, 4 * comb(3, 1), seed=8)
+    cache, sub = cman_place(3, 1, lib)
+    d = (1, 2, 1)
+    tr = deliver(sub, d, mode="full")
+    with pytest.raises(ValueError, match=match):
+        decode_all_users(cache, tamper(tr), d)
+
+
 def test_corrupted_payload_detected_or_mismatched():
     lib = random_library(2, 4 * comb(3, 1), seed=8)
     cache, sub = cman_place(3, 1, lib)
@@ -215,12 +237,73 @@ def test_decentralized_decode_with_repeats():
     assert decode_all_users(cache, tr, d) == [lib.files[i - 1] for i in d]
 
 
+def _subset_scan_delivery(subfiles, d, mode):
+    """Reference delivery: every (t+1)-subset S of the users in
+    itertools.combinations order, for the placement's t or, decentralized,
+    for t = 0..K-1; full mode keeps every S, the others those meeting the
+    leaders.  S sends the XOR of (d_s, S - {s}) over s in S, zero-padded to
+    its longest member, and nothing when no member is in the layout."""
+    K = subfiles.num_users
+    ts = range(K) if subfiles.placement_t is None else [subfiles.placement_t]
+    lead = frozenset(range(1, K + 1)) if mode == "full" else leaders(d)
+    payloads = []
+    for t in ts:
+        for S in map(frozenset, combinations(range(1, K + 1), t + 1)):
+            if lead.isdisjoint(S):
+                continue
+            bits = nbits = 0
+            for s in S:
+                key = (d[s - 1], S - {s})
+                if key in subfiles.values:
+                    bits ^= subfiles.values[key]
+                    nbits = max(nbits, subfiles.length(key))
+            if nbits:
+                payloads.append(Payload(S, bits, nbits))
+    return tuple(payloads)
+
+
+def _delivery_grid():
+    """Both placements at K = 1..10, N = 1..3, four demands each, 7- and
+    64-bit subfiles (centralized) or files (decentralized), every t and
+    cache sizes M = 1/2, N/2 and N - 1/2."""
+    for K in range(1, 11):
+        for N in (1, 2, 3):
+            for seed in (1, 2, 3, 4):
+                rng = np.random.default_rng(100 * K + 10 * N + seed)
+                d = tuple(int(x) for x in rng.integers(1, N + 1, size=K))
+                for B in (7, 64):
+                    for t in range(K + 1):
+                        if comb(K, t) * B <= 4000:
+                            sub = cman_place(K, t, random_library(N, comb(K, t) * B, seed))[1]
+                            yield sub, d, "full", deliver(sub, d, mode="full")
+                            yield sub, d, "reduced", deliver(sub, d, mode="reduced")
+                    for M in sorted({Fraction(1, 2), Fraction(N, 2), N - Fraction(1, 2)}):
+                        sub = dman_place(K, M, random_library(N, B, seed), seed)[1]
+                        yield sub, d, "decentralized", dman_deliver(sub, d)
+
+
+def test_delivery_matches_the_subset_scan():
+    cases = 0
+    for sub, d, mode, tr in _delivery_grid():
+        want = _subset_scan_delivery(sub, d, mode)
+        assert tr.payloads == want, (sub.num_users, sub.placement_t, d, mode)
+        assert tr.total_bits == sum(p.nbits for p in want)
+        assert tr.load == Fraction(tr.total_bits, sub.file_bits)
+        assert (tr.file_bits, tr.mode) == (sub.file_bits, mode)
+        cases += 1
+    assert cases > 3000
+
+
 def test_decentralized_domain():
     lib = random_library(2, 100, seed=17)
     with pytest.raises(DomainError):
         dman_place(3, 2, lib, seed=0)   # M = N not allowed
     with pytest.raises(DomainError):
         dman_place(3, 0, lib, seed=0)
+    # The generator draws below M/N's denominator, which must fit its range.
+    with pytest.raises(DomainError, match=rf"at most 2\^63, got M=1/{1 << 64}, N=2"):
+        dman_place(3, Fraction(1, 1 << 64), lib, seed=0)
+    dman_place(3, Fraction(1, 1 << 62), lib, seed=0)   # denominator 2^63 is in range
 
 
 def test_reduction_example_labels():
@@ -524,6 +607,21 @@ def test_decentralized_placement_at_64_users_follows_the_draws():
     for key, pos in sub.positions.items():
         bits = [lib.files[key[0] - 1] >> int(p) & 1 for p in pos]
         assert sub.values[key] == sum(b << j for j, b in enumerate(bits))
+    # Delivery reads the layout, not the 2^64 user subsets.
+    d = tuple(k % N + 1 for k in range(K))
+    assert decode_all_users(cache, dman_deliver(sub, d), d) == [lib.files[i - 1] for i in d]
+
+
+def test_decentralized_delivery_at_32_users_decodes_bit_exactly():
+    K, N, B = 32, 2, 500
+    lib = random_library(N, B, seed=6)
+    cache, sub = dman_place(K, 1, lib, seed=6)
+    d = tuple(k % N + 1 for k in range(K))
+    tr = dman_deliver(sub, d)
+    assert decode_all_users(cache, tr, d) == [lib.files[i - 1] for i in d]
+    # With 500 bits over 2^32 cached-by sets, almost every bit is its own
+    # subfile: the load stays far above the asymptotic 3/4.
+    assert tr.load > 10
 
 
 def test_decentralized_placement_refuses_more_than_64_users():
