@@ -90,6 +90,10 @@ class FileLibrary:
 
 
 def random_library(num_files: int, file_bits: int, seed: int) -> FileLibrary:
+    """num_files seeded uniform files of file_bits bits each; ValueError
+    before any draw unless both are at least 1."""
+    if num_files < 1 or file_bits < 1:
+        raise ValueError("need at least one file of at least one bit")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(num_files, file_bits), dtype=np.uint8)
     return FileLibrary(tuple(_pack_bits(row) for row in bits), file_bits)

@@ -33,9 +33,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .instance import IndexCodingInstance, require_valid_instance
+from .instance import IndexCodingInstance, NotMultipleUnicast, require_valid_instance
 from .lp import OPTIMAL, Constraint, LinearProgram, _int_array, _simplex, _Tableau
 from .lp import solve_lp  # noqa: F401  unused; perfbench/tracing.py wraps icl.composite.solve_lp
+from .outer import acyclic_symmetric_bound
 
 # Composite variables grow as 2^N; past this many messages neither the
 # LP columns nor the choice enumeration are tractable.
@@ -526,7 +527,7 @@ def _node_bound(data: _PriceData, prefix: Sequence[int]) -> Fraction:
 
 
 def _search_range(
-    data: _PriceData, start: int, stop: int
+    data: _PriceData, start: int, stop: int, ceiling: Fraction | None = None
 ) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
     """_price_range(data, None, 1, start, stop, 1) by branch and bound.
 
@@ -538,6 +539,11 @@ def _search_range(
     (its child's bound is at least as tight); a node holding one choice
     is that leaf.  A leaf runs exactly the flat scan's LP, so value,
     choice and allocation are the flat scan's.
+
+    ceiling, in bits, is a value no choice can exceed.  The search ends
+    at the first leaf that reaches it: every subtree pruned before had a
+    bound at most an earlier best, below the ceiling, so that leaf is
+    the first maximizer.  A leaf above the ceiling raises AssertionError.
     """
     counts = [len(o) for o in data.options]
     spans = [math.prod(counts[d:]) for d in range(len(counts) + 1)]
@@ -552,6 +558,10 @@ def _search_range(
             value = tab.value_of(0, width)
             if best is None or value > best[0]:
                 best = (value, lo, (value,) * data.n, _allocation(tab, width, cols, data.n))
+            if ceiling is not None and value >= ceiling:
+                if value > ceiling:
+                    raise AssertionError(f"choice {lo} beats the outer bound {ceiling} bits")
+                break
             continue
         span = spans[d + 1]
         kids = [
@@ -599,19 +609,21 @@ def _sweep(
     wden: int,
     keep: int,
     threads: int,
+    ceiling: Fraction | None = None,
 ) -> list[tuple[Fraction, int, tuple[Fraction, ...], dict[int, Fraction]]]:
     """The best `keep` of all data.total choices, split across forked workers.
 
     Weighted sweeps run _price_range; the symmetric one (wnum None,
-    keep 1) runs _search_range, and each worker prunes with its own
-    best leaf.  Where the platform cannot fork, the sweep runs serially;
+    keep 1) runs _search_range with `ceiling`, and each worker prunes
+    with its own best leaf and stops at its own first leaf that reaches
+    the ceiling.  Where the platform cannot fork, the sweep runs serially;
     the merged candidates equal the serial ones either way.  threads < 1
     raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if wnum is None:
-        scan, head = _search_range, (data,)
+        scan, head = partial(_search_range, ceiling=ceiling), (data,)
     else:
         scan, head = partial(_price_range, keep=keep), (data, wnum, wden)
     total = data.total
@@ -649,10 +661,19 @@ def max_symmetric_rate(
     system before being returned.  The rate is normalized per channel
     bit.  The choices are searched by branch and bound over users
     (_search_range), which returns what the exhaustive sweep would.
-    threads < 1 raises ValueError.
+    On a multiple-unicast instance the search ends at the first leaf
+    that meets the acyclic outer bound c/s bits (s the size of the
+    acyclic set acyclic_symmetric_bound re-checks), since no choice can
+    beat it; that leaf is still the first maximizer.  Other instances
+    have no such bound and are searched to the end.  threads < 1 raises
+    ValueError.
     """
     data = _prepare_price(inst, per_user_cap, relax=True)
-    [(best, idx, _, alloc)] = _sweep(data, None, 1, 1, threads)
+    try:
+        ceiling = acyclic_symmetric_bound(inst).symmetric_upper * data.c
+    except NotMultipleUnicast:
+        ceiling = None
+    [(best, idx, _, alloc)] = _sweep(data, None, 1, 1, threads, ceiling)
     choice, allocation = _certificate(data, idx, alloc)
     rate = best / data.c
     if not check_certificate(inst, choice, rate, allocation):

@@ -410,6 +410,12 @@ def test_cache_sim_indivisible(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("B", ["-3", "0"])
+def test_cache_sim_refuses_a_file_without_bits(capsys, B):
+    argv = ("cache", "sim", "--K", "2", "--N", "2", "--t", "1", "--demands", "1,2", "--B", B)
+    assert run_cli(capsys, *argv) == (1, "", "error: need at least one file of at least one bit\n")
+
+
 def test_cache_sim_decentralized_deterministic(capsys):
     argv = (
         "--format",

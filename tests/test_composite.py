@@ -1,5 +1,6 @@
 """Composite-coding inner bound: LP construction, sweep, time sharing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from icl.composite import (
     DecodingChoice,
     SearchSpaceOverflow,
+    _certificate,
     _choice_lp,
     _hull_master,
     _merge_candidates,
@@ -438,6 +440,115 @@ def test_node_bound_covers_every_leaf_below(case):
             assert bounds[opt[:d]] >= leaf
         # With every user fixed the bound LP is the leaf's own LP.
         assert bounds[opt] == leaf
+
+
+# The undirected 5-cycle: user i knows its two neighbours.  Its pure
+# composite rate 2/5 is below the acyclic bound 1/2, which small random
+# instances almost never are.
+PENTAGON = IndexCodingInstance(5, tuple(UserSpec.of({i}, {i % 5 + 1, (i - 2) % 5 + 1}) for i in range(1, 6)))
+
+
+@st.composite
+def _unicast_cases(draw):
+    """A valid multiple-unicast instance on 2-6 messages, a cap and a
+    thread count: each of 2..n users demands its own message and knows
+    any of the others; or, one time in four, a relabelled PENTAGON at
+    cap 1, so that the search also runs to the end under a ceiling."""
+    if draw(st.integers(0, 3)) == 0:
+        new = dict(zip(range(1, 6), draw(st.permutations(range(1, 6)))))
+        users = [UserSpec.of({new[i] for i in u.demands}, {new[i] for i in u.knows}) for u in PENTAGON.users]
+        inst = IndexCodingInstance(5, tuple(draw(st.permutations(users))), draw(st.integers(1, 3)))
+        return inst, 1, draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 6))
+    demands = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(2, n))]
+    users = tuple(
+        UserSpec.of({d}, draw(st.sets(st.sampled_from([i for i in range(1, n + 1) if i != d]))))
+        for d in demands
+    )
+    inst = IndexCodingInstance(n, users, draw(st.integers(1, 3)))
+    assume(not validate_instance(inst))
+    cap = draw(st.sampled_from([None, 1, 2]))
+    assume(math.prod(len(decoding_options(inst, j, cap)) for j in range(len(users))) <= 256)
+    return inst, cap, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60)
+@given(_unicast_cases())
+def test_outer_bound_stop_matches_the_flat_scan(case):
+    # The search that ends at the acyclic bound returns the exhaustive
+    # sweep's value, first maximizing choice and allocation.
+    inst, cap, threads = case
+    data = _prepare_price(inst, cap, relax=True)
+    flat = _price_range(data, None, 1, 0, data.total, 1)
+    assert _search_range(data, 0, data.total) == flat
+    [(value, idx, _, alloc)] = flat
+    res = max_symmetric_rate(inst, cap, threads=threads)
+    assert res.symmetric_rate == value / inst.channel_bits
+    choice, allocation = _certificate(data, idx, alloc)
+    assert res.best_choice == choice
+    assert list(res.allocation.items()) == list(allocation.items())
+
+
+def test_leaf_above_the_ceiling_is_refused():
+    data = _prepare_price(builtin_instance("xor2"), None, relax=True)
+    assert _price_range(data, None, 1, 0, 1, 1)[0][0] == 1
+    with pytest.raises(AssertionError, match="beats the outer bound"):
+        _search_range(data, 0, data.total, ceiling=Fraction(1, 2))
+
+
+# Message 1 is demanded by two users, so no acyclic bound applies.
+GROUPCAST = IndexCodingInstance(
+    3, (UserSpec.of({1}, {2}), UserSpec.of({1}, {3}), UserSpec.of({2}, {3}), UserSpec.of({3}, set()))
+)
+
+
+def _recorded_ceilings(monkeypatch):
+    import icl.composite as composite
+
+    seen = []
+
+    def search(data, start, stop, ceiling=None):
+        seen.append(ceiling)
+        return _search_range(data, start, stop, ceiling)
+
+    monkeypatch.setattr(composite, "_search_range", search)
+    return seen
+
+
+def test_groupcast_searches_without_a_ceiling(monkeypatch):
+    seen = _recorded_ceilings(monkeypatch)
+    res = max_symmetric_rate(GROUPCAST)
+    assert seen == [None]
+    assert res.symmetric_rate == Fraction(1, 3)
+    assert res.best_choice == DecodingChoice(
+        (frozenset({1}), frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3}))
+    )
+    assert list(res.allocation.items()) == [
+        (frozenset({3}), Fraction(1, 3)),
+        (frozenset({1}), Fraction(1, 3)),
+        (frozenset({2}), Fraction(1, 3)),
+    ]
+
+
+def test_unicast_search_ends_at_the_first_leaf_meeting_the_bound(monkeypatch):
+    import icl.composite as composite
+
+    inst = builtin_instance("no-side-info(4)")
+    seen = _recorded_ceilings(monkeypatch)
+    solved = []
+    for name in ("_choice_lp", "_node_bound"):
+        lp = getattr(composite, name)
+        monkeypatch.setattr(composite, name, lambda *a, lp=lp, name=name: solved.append(name) or lp(*a))
+    res = max_symmetric_rate(inst, 1)
+    assert seen == [Fraction(1, 4)]
+    assert res.symmetric_rate == Fraction(1, 4)
+    # Leaf 0 already meets the bound; without the ceiling the search
+    # solves 4 leaves and 33 bound LPs to prove it.
+    assert solved == ["_choice_lp"]
+    solved.clear()
+    data = _prepare_price(inst, 1, relax=True)
+    assert _search_range(data, 0, data.total)[0][:2] == (Fraction(1, 4), 0)
+    assert len(solved) == 37
 
 
 @settings(max_examples=25)
