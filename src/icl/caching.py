@@ -634,14 +634,25 @@ def reduce_to_index_coding(
     return inst, labels
 
 
+# Most subfiles, N * binom(K, t), a reduced delivery lays out; past it
+# the layout alone can exhaust memory.  (16, 2, 8) has 25,740.
+_MAX_DELIVERY_SUBFILES = 1 << 16
+
+
 def _check_delivery(K: int, N: int, t: int, d: Iterable[int], k_bits: int) -> tuple[int, ...]:
-    """Validate the arguments of a synthesized delivery; returns d as a tuple."""
+    """Validate the arguments of a reduced delivery, its size included,
+    before anything is allocated; returns d as a tuple."""
     _require_positive_int("K", K)
     _require_positive_int("N", N)
     _require_positive_int("k_bits", k_bits)
     d = tuple(d)
     _check_demand(d, K, N)
     _require_t(K, t)
+    count = N * comb(K, t)
+    if count > _MAX_DELIVERY_SUBFILES:
+        raise DomainError(
+            f"K={K}, t={t}: N*binom(K,t) = {count} subfiles exceed the budget of {_MAX_DELIVERY_SUBFILES}"
+        )
     return d
 
 

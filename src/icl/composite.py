@@ -648,6 +648,16 @@ def _certificate(
     return choice, {frozenset(_members(p)): v for p, v in alloc.items()}
 
 
+def _acyclic_ceiling(inst: IndexCodingInstance, c: int) -> tuple[Fraction | None, frozenset[int]]:
+    """The acyclic outer bound c/s in bits and its re-checked witness of
+    size s; (None, empty set) on an instance that is not multiple-unicast."""
+    try:
+        bound = acyclic_symmetric_bound(inst)
+    except NotMultipleUnicast:
+        return None, frozenset()
+    return bound.symmetric_upper * c, bound.witness
+
+
 def max_symmetric_rate(
     inst: IndexCodingInstance,
     per_user_cap: int | None = None,
@@ -669,10 +679,7 @@ def max_symmetric_rate(
     ValueError.
     """
     data = _prepare_price(inst, per_user_cap, relax=True)
-    try:
-        ceiling = acyclic_symmetric_bound(inst).symmetric_upper * data.c
-    except NotMultipleUnicast:
-        ceiling = None
+    ceiling, _ = _acyclic_ceiling(inst, data.c)
     [(best, idx, _, alloc)] = _sweep(data, None, 1, 1, threads, ceiling)
     choice, allocation = _certificate(data, idx, alloc)
     rate = best / data.c
@@ -699,8 +706,11 @@ class HullResult:
     is certified by the separating message weights.  The two coincide exactly when converged is True.
     rounds is the number of pricing sweeps run: column generation stops
     as soon as the pool value reaches the least sweep maximum, so the
-    sweep that proves the bound is often not the last round's.  Rates
-    are per channel bit; HullPoint rates are in bits.
+    sweep that proves the bound is often not the last round's.  rounds
+    is 0 when one decoding choice already meets the acyclic outer bound;
+    the mixture is then that one point, and the weights are uniform on
+    the acyclic witness and 0 elsewhere.  Rates are per channel bit;
+    HullPoint rates are in bits.
     """
 
     symmetric_rate: Fraction
@@ -775,12 +785,22 @@ def time_shared_symmetric_rate(
     certificates of both bounds.  rounds counts the pricing sweeps run,
     at most max_rounds; max_rounds < 1 or threads < 1 raises ValueError.
 
+    Before any pricing sweep, an instance that is multiple-unicast with
+    every message demanded runs max_symmetric_rate's search with its
+    ceiling, the acyclic outer bound c/s bits over the re-checked
+    witness S of size s.  Every achievable point, and so every mixture,
+    has sum_{i in S} R_i <= c, so the hull cannot exceed c/s.  When one
+    choice reaches it, the hull returns at once with rounds 0, that one
+    point as the mixture and weights 1/s on S, 0 elsewhere, which price
+    no point above c/s.  Otherwise column generation runs from round 1
+    as if the search had not run.
+
     trace, when given, is called after every pricing sweep with
     (round, pool value before the sweep, sweep maximum), all in bits.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    data = _prepare_price(inst, per_user_cap)
+    data = _prepare_price(inst, per_user_cap, relax=True)
     n = data.n
     c = data.c
     pool: list[HullPoint] = []
@@ -789,30 +809,44 @@ def time_shared_symmetric_rate(
     weights = upper_weights = tuple(Fraction(1, n) for _ in range(n))
     upper = Fraction(c)
     converged = False
+    rounds = 0
 
-    for rounds in range(1, max_rounds + 1):
-        cands = _sweep(data, *_scaled_weights(weights), _POINTS_PER_ROUND, threads)
-        best_value = cands[0][0]
-        if best_value <= upper:
-            # Report the weights that certify the bound, not the last ones.
-            upper, upper_weights = best_value, weights
-        if trace is not None:
-            trace(rounds, tau, best_value)
-        if best_value > tau:
-            added = False
-            for value, idx, rates, alloc in cands:
-                if value > tau and rates not in pool_keys:
-                    pool.append(HullPoint(rates, *_certificate(data, idx, alloc)))
-                    pool_keys.add(rates)
-                    added = True
-            if not added:
-                raise AssertionError("an improving point must be new to the pool")
-            # Round 1 always gets here: every sweep maximum is >= 0 > tau.
-            tau, weights, mixture_weights = _hull_master([p.rates for p in pool], n)
-        if tau >= upper:
-            # The weights of the sweep that set upper already prove tau optimal.
+    ceiling, witness = _acyclic_ceiling(inst, c)
+    demanded = set().union(*(spec.demands for spec in inst.users))
+    if ceiling is not None and len(demanded) == n:
+        [(best, idx, rates, alloc)] = _sweep(data, None, 1, 1, threads, ceiling)
+        if best == ceiling:
+            # No mixture beats the acyclic bound, and this point meets it.
+            pool.append(HullPoint(rates, *_certificate(data, idx, alloc)))
+            tau = upper = best
+            upper_weights = tuple(Fraction(int(i in witness), len(witness)) for i in inst.message_ids())
+            mixture_weights = (Fraction(1),)
             converged = True
-            break
+
+    if not converged:
+        for rounds in range(1, max_rounds + 1):
+            cands = _sweep(data, *_scaled_weights(weights), _POINTS_PER_ROUND, threads)
+            best_value = cands[0][0]
+            if best_value <= upper:
+                # Report the weights that certify the bound, not the last ones.
+                upper, upper_weights = best_value, weights
+            if trace is not None:
+                trace(rounds, tau, best_value)
+            if best_value > tau:
+                added = False
+                for value, idx, rates, alloc in cands:
+                    if value > tau and rates not in pool_keys:
+                        pool.append(HullPoint(rates, *_certificate(data, idx, alloc)))
+                        pool_keys.add(rates)
+                        added = True
+                if not added:
+                    raise AssertionError("an improving point must be new to the pool")
+                # Round 1 always gets here: every sweep maximum is >= 0 > tau.
+                tau, weights, mixture_weights = _hull_master([p.rates for p in pool], n)
+            if tau >= upper:
+                # The weights of the sweep that set upper already prove tau optimal.
+                converged = True
+                break
 
     mixture = tuple((mu, pt) for mu, pt in zip(mixture_weights, pool) if mu)
 

@@ -34,6 +34,7 @@ from icl.caching import (
     r_dman,
     random_library,
     reduce_to_index_coding,
+    reduced_delivery,
     synthesize_delivery_scheme,
     transcript_log,
     verify_delivery_scheme,
@@ -383,6 +384,30 @@ def test_verify_delivery_checks_arguments_at_every_t(K, N, t, d, error, match):
 def test_verify_delivery_rejects_t_past_K():
     with pytest.raises(DomainError, match=r"t must lie in \[0\.\.2\], got 3"):
         verify_delivery_scheme(2, 2, 3, (1, 2))
+
+
+@pytest.mark.parametrize("call", [reduced_delivery, synthesize_delivery_scheme, verify_delivery_scheme])
+def test_oversized_delivery_is_refused_before_placement(monkeypatch, call):
+    import icl.caching as caching
+
+    # binom(30,15) = 155,117,520 subfiles per file: the layout alone would
+    # exhaust memory, so the guard must fire before cman_place runs.
+    def refuse(*args):
+        raise AssertionError("the layout was allocated before the size check")
+
+    monkeypatch.setattr(caching, "cman_place", refuse)
+    with pytest.raises(DomainError, match=r"^K=30, t=15: N\*binom\(K,t\) = 310235040 subfiles exceed"):
+        call(30, 2, 15, (1, 2) * 15)
+
+
+def test_delivery_size_budget_boundary():
+    from icl.caching import _MAX_DELIVERY_SUBFILES, _check_delivery
+
+    # 16 * binom(16, 1) files' subfiles: the budget exactly, then one file more.
+    N = _MAX_DELIVERY_SUBFILES // 16
+    assert _check_delivery(16, N, 1, (1,) * 16, 1) == (1,) * 16
+    with pytest.raises(DomainError, match=f"= {_MAX_DELIVERY_SUBFILES + 16} subfiles exceed"):
+        _check_delivery(16, N + 1, 1, (1,) * 16, 1)
 
 
 def test_synthesized_scheme_multi_bit_messages():

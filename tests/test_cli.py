@@ -75,7 +75,7 @@ def test_composite_rate_weighted(capsys):
         (
             ("--instance", "no-side-info(3)"),
             "rate 1/3 (0.333333)  [per channel bit, time-shared]\n"
-            "upper bound 1/3 (0.333333)  converged True  rounds 1  mixture size 3\n",
+            "upper bound 1/3 (0.333333)  converged True  rounds 0  mixture size 1\n",
         ),
         (
             ("--instance", "example1", "--cap", "1"),
@@ -104,6 +104,20 @@ def test_composite_rate_stdout_is_pinned(capsys, argv, expected):
     code, out, _ = run_cli(capsys, "composite-rate", *argv)
     assert code == 0
     assert out == f"instance: builtin {argv[1]}\n" + expected
+
+
+@pytest.mark.parametrize("command", ["synthesize", "reduce"])
+def test_oversized_delivery_is_one_error_line(capsys, monkeypatch, command):
+    import icl.caching
+
+    def refuse(*args):
+        raise AssertionError("the layout was allocated before the size check")
+
+    monkeypatch.setattr(icl.caching, "cman_place", refuse)
+    demands = ",".join(["1", "2"] * 15)
+    code, out, err = run_cli(capsys, "cache", command, "--K", "30", "--N", "2", "--t", "15", "--demands", demands)
+    assert code == 1 and out == ""
+    assert err == "error: K=30, t=15: N*binom(K,t) = 310235040 subfiles exceed the budget of 65536\n"
 
 
 def test_composite_rate_weight_count_mismatch(capsys):

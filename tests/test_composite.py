@@ -612,16 +612,31 @@ def test_mixture_points_are_achievable():
         )
 
 
-# User 1 knows both other messages, users 2 and 3 know message 1.  The
-# hull reaches 1/2 only on its fourth pricing sweep.
+# User 1 knows both other messages, users 2 and 3 know message 1.  One
+# choice meets the acyclic bound 1/2 (witness {2, 3}), so the hull needs
+# no pricing sweep; column generation alone reaches 1/2 only on its
+# fourth.
 FOUR_SWEEPS = IndexCodingInstance(
     3, (UserSpec.of({1}, {2, 3}), UserSpec.of({2}, {1}), UserSpec.of({3}, {1}))
+)
+
+# Message 1 is demanded twice, so no acyclic bound applies and the hull
+# reaches 1/3 only on its fourth pricing sweep.
+GROUPCAST_FOUR_SWEEPS = IndexCodingInstance(
+    4,
+    (
+        UserSpec.of({1}, {4}),
+        UserSpec.of({2}, {1, 3, 4}),
+        UserSpec.of({3}, {1, 4}),
+        UserSpec.of({4}, {2, 3}),
+        UserSpec.of({1}, {4}),
+    ),
 )
 
 
 @pytest.mark.parametrize("max_rounds", [1, 2, 3])
 def test_hull_round_limit_reports_valid_bounds(max_rounds):
-    inst = FOUR_SWEEPS
+    inst = GROUPCAST_FOUR_SWEEPS
     hull = time_shared_symmetric_rate(inst, max_rounds=max_rounds)
     assert not hull.converged and hull.rounds == max_rounds
     assert hull.symmetric_rate <= hull.upper_bound
@@ -647,26 +662,130 @@ def test_weight_past_int64_stays_exact():
 
 
 def test_hull_stops_once_the_pool_meets_the_bound():
-    assert time_shared_symmetric_rate(FOUR_SWEEPS).rounds == 4
-    # One sweep proves 1/3; the pool it adds already reaches it.
-    hull = time_shared_symmetric_rate(builtin_instance("no-side-info(3)"), max_rounds=1)
+    assert time_shared_symmetric_rate(GROUPCAST_FOUR_SWEEPS).rounds == 4
+    # No side information, message 1 demanded twice: one sweep proves
+    # 1/3, and the pool it adds already reaches it.
+    users = builtin_instance("no-side-info(3)").users
+    inst = IndexCodingInstance(3, users + (users[0],))
+    hull = time_shared_symmetric_rate(inst, max_rounds=1)
     assert hull.converged and hull.rounds == 1
     assert hull.symmetric_rate == hull.upper_bound == Fraction(1, 3)
 
 
+@pytest.mark.parametrize(
+    "inst, rate, weights",
+    [
+        (builtin_instance("no-side-info(3)"), Fraction(1, 3), (Fraction(1, 3),) * 3),
+        (FOUR_SWEEPS, Fraction(1, 2), (0, Fraction(1, 2), Fraction(1, 2))),
+    ],
+    ids=["no-side-info(3)", "four-sweeps"],
+)
+def test_hull_settles_at_the_acyclic_bound_without_a_sweep(inst, rate, weights):
+    calls = []
+    hull = time_shared_symmetric_rate(inst, max_rounds=1, trace=lambda *args: calls.append(args))
+    assert hull.converged and hull.rounds == 0 and calls == []
+    assert hull.symmetric_rate == hull.upper_bound == rate
+    assert hull.weights == weights
+    [(mu, point)] = hull.mixture
+    pure = max_symmetric_rate(inst)
+    assert mu == 1 and point.rates == (rate * inst.channel_bits,) * inst.num_messages
+    assert point.choice == pure.best_choice and point.allocation == pure.allocation
+
+
 def test_hull_trace_reports_every_sweep():
     calls = []
-    hull = time_shared_symmetric_rate(FOUR_SWEEPS, trace=lambda *args: calls.append(args))
+    hull = time_shared_symmetric_rate(GROUPCAST_FOUR_SWEEPS, trace=lambda *args: calls.append(args))
     assert [r for r, _, _ in calls] == list(range(1, hull.rounds + 1)) == [1, 2, 3, 4]
     taus = [tau for _, tau, _ in calls]
     assert taus[1:] == sorted(taus[1:])
     least = min(best for _, _, best in calls)
-    assert least == hull.upper_bound * hull.channel_bits == Fraction(1, 2)
+    assert least == hull.upper_bound * hull.channel_bits == Fraction(1, 3)
 
 
 def test_hull_needs_a_round():
     with pytest.raises(ValueError, match="max_rounds must be >= 1"):
         time_shared_symmetric_rate(FOUR_SWEEPS, max_rounds=0)
+
+
+@st.composite
+def _demanded_cases(draw):
+    """An instance with every message demanded, a cap and a thread count.
+
+    n users on n messages, each demanding its own message and knowing
+    any of the others; half the time one more user demands a message
+    already demanded, so that no acyclic bound applies.  One time in
+    five it is a relabelled PENTAGON at cap 1, whose pure optimum is
+    below the acyclic bound.
+    """
+    threads = draw(st.sampled_from([1, 2]))
+    if draw(st.integers(0, 4)) == 0:
+        new = dict(zip(range(1, 6), draw(st.permutations(range(1, 6)))))
+        users = [UserSpec.of({new[i] for i in u.demands}, {new[i] for i in u.knows}) for u in PENTAGON.users]
+        return IndexCodingInstance(5, tuple(draw(st.permutations(users))), draw(st.integers(1, 3))), 1, threads
+    n = draw(st.integers(2, 5))
+    others = lambda d: [i for i in range(1, n + 1) if i != d]  # noqa: E731
+    users = [UserSpec.of({d}, draw(st.sets(st.sampled_from(others(d))))) for d in range(1, n + 1)]
+    if draw(st.booleans()):
+        d = draw(st.integers(1, n))
+        users.append(UserSpec.of({d}, draw(st.sets(st.sampled_from(others(d))))))
+    inst = IndexCodingInstance(n, tuple(draw(st.permutations(users))), draw(st.integers(1, 3)))
+    assume(not validate_instance(inst))
+    cap = draw(st.sampled_from([None, 1, 2]))
+    assume(math.prod(len(decoding_options(inst, j, cap)) for j in range(len(users))) <= 128)
+    return inst, cap, threads
+
+
+@settings(max_examples=60)
+@given(_demanded_cases())
+def test_hull_stop_at_the_acyclic_bound_matches_column_generation(case):
+    import icl.composite as composite
+    from icl.instance import NotMultipleUnicast
+
+    inst, cap, threads = case
+    hull = time_shared_symmetric_rate(inst, cap, threads=threads)
+
+    def no_bound(inst):
+        raise NotMultipleUnicast("column generation alone, for reference")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(composite, "acyclic_symmetric_bound", no_bound)
+        reference = time_shared_symmetric_rate(inst, cap, threads=threads)
+    assert reference.rounds >= 1
+    assert (hull.symmetric_rate, hull.upper_bound, hull.converged) == (
+        reference.symmetric_rate,
+        reference.upper_bound,
+        reference.converged,
+    )
+    if hull.rounds:
+        assert repr(hull) == repr(reference)
+        return
+    # The weights on the acyclic witness certify the bound by re-pricing.
+    priced = max_weighted_rate(inst, dict(enumerate(hull.weights, start=1)), per_user_cap=cap)
+    assert priced.value == hull.upper_bound * inst.channel_bits
+    other = time_shared_symmetric_rate(inst, cap, threads=3 - threads)
+    assert repr(other) == repr(hull)
+
+
+def test_hull_on_an_undemanded_message_still_fails():
+    # Message 3 is known but demanded by nobody, a known fault: the
+    # acyclic stop does not apply and the pricing LPs are unbounded.
+    inst = IndexCodingInstance(3, (UserSpec.of({1}, {3}), UserSpec.of({2}, set())))
+    with pytest.raises(AssertionError, match="feasible and bounded by construction"):
+        time_shared_symmetric_rate(inst)
+
+
+def test_hull_on_a_groupcast_instance_runs_the_sweeps():
+    hull = time_shared_symmetric_rate(GROUPCAST)
+    assert hull.converged and hull.rounds >= 1
+
+
+def test_hull_on_the_directed_five_cycle_settles_without_a_sweep():
+    # User i knows message i+1; dropping one vertex leaves an acyclic
+    # path of 4.  Column generation alone takes seconds here.
+    inst = IndexCodingInstance(5, tuple(UserSpec.of({i}, {i % 5 + 1}) for i in range(1, 6)))
+    hull = time_shared_symmetric_rate(inst)
+    assert hull.converged and hull.rounds == 0
+    assert hull.symmetric_rate == hull.upper_bound == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("threads", [0, -4])
