@@ -183,7 +183,8 @@ def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState
     """Centralized placement: split each file into binom(K,t) equal
     subfiles indexed by the t-subsets of users, each user caching every
     subfile whose index set contains it.  Cache occupancy is exactly
-    t*N/K files per user.
+    t*N/K files per user.  Raises DomainError when N*binom(K,t) exceeds
+    the subfile budget, before any subfile is built.
     """
     K = num_users
     if K < 1:
@@ -193,6 +194,7 @@ def cman_place(num_users: int, t: int, library: FileLibrary) -> tuple[CacheState
     B = library.file_bits
     if B % n_sub:
         raise Indivisible(f"binom({K},{t}) = {n_sub} does not divide B = {B}")
+    _require_subfile_budget(K, library.num_files, t)
     chunk = B // n_sub
     groups = [frozenset(W) for W in combinations(range(1, K + 1), t)]
     positions: dict[SubfileKey, np.ndarray] = {}
@@ -634,9 +636,16 @@ def reduce_to_index_coding(
     return inst, labels
 
 
-# Most subfiles, N * binom(K, t), a reduced delivery lays out; past it
-# the layout alone can exhaust memory.  (16, 2, 8) has 25,740.
+# Most subfiles, N * binom(K, t), a centralized placement lays out; past
+# it the layout alone can exhaust memory.  (16, 2, 8) has 25,740.
 _MAX_DELIVERY_SUBFILES = 1 << 16
+
+
+def _require_subfile_budget(K: int, N: int, t: int) -> None:
+    if N * comb(K, t) > _MAX_DELIVERY_SUBFILES:
+        raise DomainError(
+            f"K={K}, t={t}: N*binom(K,t) = {N * comb(K, t)} subfiles exceed the budget of {_MAX_DELIVERY_SUBFILES}"
+        )
 
 
 def _check_delivery(K: int, N: int, t: int, d: Iterable[int], k_bits: int) -> tuple[int, ...]:
@@ -648,11 +657,7 @@ def _check_delivery(K: int, N: int, t: int, d: Iterable[int], k_bits: int) -> tu
     d = tuple(d)
     _check_demand(d, K, N)
     _require_t(K, t)
-    count = N * comb(K, t)
-    if count > _MAX_DELIVERY_SUBFILES:
-        raise DomainError(
-            f"K={K}, t={t}: N*binom(K,t) = {count} subfiles exceed the budget of {_MAX_DELIVERY_SUBFILES}"
-        )
+    _require_subfile_budget(K, N, t)
     return d
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 
@@ -68,23 +69,25 @@ def validate_instance(inst: IndexCodingInstance) -> list[str]:
         return problems
     if inst.channel_bits < 1:
         problems.append("channel_bits must be a positive integer")
-    full = frozenset(inst.message_ids())
+    # Ranges, not sets of every id: a short file may declare 10^12 messages.
     referenced: set[int] = set()
     for idx, user in enumerate(inst.users, start=1):
         if not user.demands:
             problems.append(f"user {idx}: empty demand set")
-        if user.knows >= full:
+        if user.knows.issuperset(inst.message_ids()):
             problems.append(f"user {idx}: side information covers every message")
         overlap = user.demands & user.knows
         if overlap:
             problems.append(f"user {idx}: demand/side-info overlap {sorted(overlap)}")
-        stray = (user.demands | user.knows) - full
+        stray = {i for i in user.demands | user.knows if not 1 <= i <= inst.num_messages}
         if stray:
             problems.append(f"user {idx}: message ids out of range {sorted(stray)}")
-        referenced |= (user.demands | user.knows) & full
-    orphans = full - referenced
+        referenced |= (user.demands | user.knows) - stray
+    orphans = inst.num_messages - len(referenced)
     if orphans:
-        problems.append(f"messages referenced by no user: {sorted(orphans)}")
+        first = list(islice((i for i in inst.message_ids() if i not in referenced), 10))
+        more = f" and {orphans - len(first)} more" if orphans > len(first) else ""
+        problems.append(f"messages referenced by no user: {first}{more}")
     return problems
 
 

@@ -24,6 +24,15 @@ elimination.  Since kappa_J never exceeds J's bit count and K is itself
 one of the J, every bound holds exactly when Z has full column rank on
 K.  Z's echelon rows have distinct pivots, so that rank is the number of
 rows of Z: one rank per user, not one per subset J.
+
+The same elimination decides zero-error decoding.  Let X be the rows on
+the columns of the messages outside A.  A user decodes exactly when
+every null vector of X vanishes on D's columns, that is, when each
+demanded unit vector e_d lies in X's row space, since the row space is
+the annihilator of the null space.  With K = D, a combination of rows
+equal to e_d vanishes on U, so e_d lies in the row space exactly when it
+lies in the span of Z.  The user therefore decodes exactly when Z spans
+D's columns, which is the full-rank test above with K_j = D_j.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .composite import DecodingChoice, InvalidDecodingSet, _check_choice, check_decoding_set
-from .gf2 import Gf2Matrix, echelon, nullspace, rank_of
+from .gf2 import Gf2Matrix, echelon, rank_of
+from .gf2 import nullspace  # noqa: F401  unused; perfbench/tracing.py wraps icl.schemes.nullspace
 from .instance import IndexCodingInstance, UnknownName, require_valid_instance
 
 _ENUM_LIMIT = 20
@@ -217,40 +227,42 @@ def zero_error_decode_check(
 
     "algebraic": a user decodes iff every null-space vector of X
     restricted to its unknown columns vanishes on its demanded columns.
+    That holds iff Z, the demanded part of the combinations of rows that
+    vanish on the other unknown messages, spans the demanded columns
+    (see the module docstring), so this is check_scheme's decodes with
+    K_j = D_j and no null-space basis is built.
     "enumerate": exhaust all unknown-message inputs (side information
     fixed to zero, which is lossless for linear X) and confirm X
-    determines the demanded bits; refuses above 2^20 inputs.
+    determines the demanded bits; refuses above 2^20 inputs.  It runs no
+    elimination, so it is the algebraic test's independent check.
     """
     require_valid_instance(inst)
     _require_wellformed(scheme, inst.num_messages)
     if mode not in ("algebraic", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "algebraic":
+        return check_scheme(inst, scheme).decodes
     rows, off = scheme.global_rows(), scheme.offsets()
-    total = scheme.total_bits
     out = []
     for spec in inst.users:
-        unknown_msgs = set(inst.message_ids()) - spec.knows
-        unknown = _col_mask(off, unknown_msgs)
+        unknown = _col_mask(off, _unknown_ids(scheme, spec.knows))
         dmask = _col_mask(off, spec.demands)
-        if mode == "algebraic":
-            ok = all(v & dmask == 0 for v in nullspace(rows, total, allowed=unknown))
-        else:
-            nbits = sum(scheme.msg_bits[i - 1] for i in unknown_msgs)
-            if nbits > _ENUM_LIMIT:
-                raise EnumerationTooLarge(f"{nbits} unknown bits exceed 2^{_ENUM_LIMIT}")
-            cols = [j for j in range(total) if unknown >> j & 1]
-            seen: dict[tuple[int, ...], int] = {}
-            ok = True
-            placed = 0
-            for u in range(1 << nbits):
-                if u:
-                    # Gray-code walk: step u flips bit ctz(u) of the input.
-                    placed ^= 1 << cols[(u & -u).bit_length() - 1]
-                x = tuple((row & placed).bit_count() & 1 for row in rows)
-                fp = placed & dmask
-                if seen.setdefault(x, fp) != fp:
-                    ok = False
-                    break
+        nbits = unknown.bit_count()
+        if nbits > _ENUM_LIMIT:
+            raise EnumerationTooLarge(f"{nbits} unknown bits exceed 2^{_ENUM_LIMIT}")
+        cols = [j for j in range(scheme.total_bits) if unknown >> j & 1]
+        seen: dict[tuple[int, ...], int] = {}
+        ok = True
+        placed = 0
+        for u in range(1 << nbits):
+            if u:
+                # Gray-code walk: step u flips bit ctz(u) of the input.
+                placed ^= 1 << cols[(u & -u).bit_length() - 1]
+            x = tuple((row & placed).bit_count() & 1 for row in rows)
+            fp = placed & dmask
+            if seen.setdefault(x, fp) != fp:
+                ok = False
+                break
         out.append(ok)
     return tuple(out)
 

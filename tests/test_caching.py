@@ -351,6 +351,9 @@ def test_synthesized_scheme_certifies_known_loads():
         (2, 1, 1, (1, 1), Fraction(1, 2)),
         # Each user decodes 21 subfiles: 2^21 - 1 sets J, settled by one rank.
         (8, 8, 2, tuple(range(1, 9)), r_cman(8, 2)),
+        # binom(14,7) = 3,432 subfiles per file: one elimination per user
+        # keeps this under a second.
+        (14, 2, 7, (1, 2) * 7, r_c_opt(14, 2, 7)),
     ]:
         report = verify_delivery_scheme(K, N, t, d)
         assert report.passed, (K, N, t, d, report)
@@ -398,6 +401,13 @@ def test_oversized_delivery_is_refused_before_placement(monkeypatch, call):
     monkeypatch.setattr(caching, "cman_place", refuse)
     with pytest.raises(DomainError, match=r"^K=30, t=15: N\*binom\(K,t\) = 310235040 subfiles exceed"):
         call(30, 2, 15, (1, 2) * 15)
+
+
+def test_oversized_placement_is_refused_before_any_subfile():
+    # The library is two 155,117,520-bit zero files; the subfiles would be
+    # 310,235,040 arrays.
+    with pytest.raises(DomainError, match=r"^K=30, t=15: N\*binom\(K,t\) = 310235040 subfiles exceed"):
+        cman_place(30, 15, FileLibrary((0, 0), comb(30, 15)))
 
 
 def test_delivery_size_budget_boundary():

@@ -120,6 +120,33 @@ def test_oversized_delivery_is_one_error_line(capsys, monkeypatch, command):
     assert err == "error: K=30, t=15: N*binom(K,t) = 310235040 subfiles exceed the budget of 65536\n"
 
 
+def test_oversized_simulation_is_one_error_line(capsys, monkeypatch):
+    import icl.cli
+    from math import comb
+
+    from icl.caching import FileLibrary
+
+    # Zero files stand in for the 310 Mbit seeded library; cman_place must
+    # refuse before it builds a subfile.
+    monkeypatch.setattr(icl.cli, "random_library", lambda N, B, seed: FileLibrary((0,) * N, B))
+    demands = ",".join(["1", "2"] * 15)
+    argv = ("--K", "30", "--N", "2", "--t", "15", "--B", str(comb(30, 15)), "--demands", demands)
+    code, out, err = run_cli(capsys, "cache", "sim", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: K=30, t=15: N*binom(K,t) = 310235040 subfiles exceed the budget of 65536\n"
+
+
+def test_validate_a_huge_declared_message_count(tmp_path, capsys):
+    path = tmp_path / "huge.ic"
+    path.write_text("messages 1000000000000\nuser 1 demands 1 knows 2\nuser 2 demands 2 knows\n")
+    code, out, _ = run_cli(capsys, "validate", "--instance", str(path))
+    assert code == 1
+    assert out == (
+        f"instance: {path}\n"
+        "problem: messages referenced by no user: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 999999999988 more\n"
+    )
+
+
 def test_composite_rate_weight_count_mismatch(capsys):
     code, _, err = run_cli(
         capsys, "composite-rate", "--instance", "xor2", "--weights", "1,2,3"

@@ -44,6 +44,24 @@ def test_unreferenced_message_reported():
     assert any("3" in p for p in validate_instance(inst))
 
 
+def test_orphan_list_stops_after_ten_ids():
+    inst = _inst([({2}, {13})], 14)
+    assert validate_instance(inst) == [
+        "messages referenced by no user: [1, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 2 more"
+    ]
+    inst = _inst([({2}, {13}), ({14}, {12})], 14)
+    assert validate_instance(inst) == ["messages referenced by no user: [1, 3, 4, 5, 6, 7, 8, 9, 10, 11]"]
+
+
+def test_validation_does_not_walk_every_declared_message():
+    # A set of 10^12 ids would never fit in memory.
+    inst = _inst([({1}, {2, 10**13}), ({2}, set())], 10**12)
+    assert validate_instance(inst) == [
+        "user 1: message ids out of range [10000000000000]",
+        "messages referenced by no user: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 999999999988 more",
+    ]
+
+
 def test_known_but_never_demanded_is_legal():
     # Reduction instances rely on messages that appear only as side
     # information.

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import icl
 from icl.caching import canonical_worst_demand, synthesize_delivery_scheme
 from icl.composite import DecodingChoice, build_composite_lp, check_rate_point, max_symmetric_rate
-from icl.gf2 import Gf2Matrix, rank_of
+from icl.gf2 import Gf2Matrix, nullspace, rank_of
 from icl.instance import IndexCodingInstance, UserSpec, builtin_instance
 from icl.oracle import exhaustive_conditional_entropy
 from icl.schemes import (
@@ -66,17 +66,36 @@ def test_dropping_a_payload_breaks_decoding():
     assert not verdict.passed
 
 
-def test_zero_error_modes_agree_on_small_random_schemes():
-    import numpy as np
+def _zero_error_by_nullspace(inst, scheme):
+    """Reference zero-error rule: a user decodes iff every null vector of
+    X on its unknown columns vanishes on its demanded columns."""
+    rows, off = scheme.global_rows(), scheme.offsets()
 
-    rng = np.random.default_rng(3)
-    inst = builtin_instance("xor2")
-    for _ in range(40):
-        rows = tuple(int(rng.integers(0, 4)) for _ in range(2))
-        scheme = LinearScheme((1, 1), 2, ((frozenset({1, 2}), Gf2Matrix(rows, 2)),))
-        a = zero_error_decode_check(inst, scheme, mode="algebraic")
-        b = zero_error_decode_check(inst, scheme, mode="enumerate")
-        assert a == b
+    def columns(messages):
+        return sum(((1 << (off[i] - off[i - 1])) - 1) << off[i - 1] for i in messages)
+
+    return tuple(
+        all(
+            v & columns(spec.demands) == 0
+            for v in nullspace(rows, scheme.total_bits, allowed=columns(set(inst.message_ids()) - spec.knows))
+        )
+        for spec in inst.users
+    )
+
+
+# User 1 demands 1 and knows nothing; user 2 demands 2 and knows 1.
+@pytest.mark.parametrize(
+    "row",
+    [0b10, 0b11],
+    ids=["demanded-free-column", "demanded-pivot-row-holds-free-column"],
+)
+def test_zero_error_fails_on_a_demanded_column_the_null_space_reaches(row):
+    inst = IndexCodingInstance(2, (UserSpec.of({1}), UserSpec.of({2}, {1})))
+    scheme = LinearScheme((1, 1), 1, ((frozenset({1, 2}), Gf2Matrix((row,), 2)),))
+    assert _zero_error_by_nullspace(inst, scheme) == (False, True)
+    for mode in ("algebraic", "enumerate"):
+        assert zero_error_decode_check(inst, scheme, mode=mode) == (False, True)
+    assert check_scheme(inst, scheme).decodes == (False, True)
 
 
 def test_enumerate_mode_refuses_large_schemes():
@@ -198,7 +217,8 @@ def _check_scheme_by_subsets(inst, scheme, choice=None):
 
 
 def _assert_same_verdict(inst, scheme, choice):
-    """check_scheme agrees with the subset reference; returns its verdict."""
+    """check_scheme agrees with the subset reference, and zero-error
+    decoding with the null-space rule; returns the verdict."""
     got = check_scheme(inst, scheme, choice)
     channel_use, channel_ok, tables, sym = _check_scheme_by_subsets(inst, scheme, choice)
     assert got.channel_use == channel_use
@@ -206,6 +226,7 @@ def _assert_same_verdict(inst, scheme, choice):
     assert got.symmetric_rate == sym
     assert got.decodes == tuple(all(ok for _, ok in table.values()) for table in tables)
     assert got.passed == (all(channel_ok) and all(ok for table in tables for _, ok in table.values()))
+    assert zero_error_decode_check(inst, scheme) == _zero_error_by_nullspace(inst, scheme)
     sets = choice.sets if choice is not None else tuple(spec.demands for spec in inst.users)
     for user, (K, table) in enumerate(zip(sets, tables), start=1):
         for J, (cap, _) in table.items():
@@ -253,6 +274,7 @@ def test_check_scheme_and_subset_ranks_fail_a_delivery_with_one_bit_cleared(K):
                     composites = scheme.composites[:c] + ((P, cleared),) + scheme.composites[c + 1 :]
                     broken = LinearScheme(scheme.msg_bits, scheme.channel_bits, composites)
                     assert not _assert_same_verdict(inst, broken, choice).passed
+                    assert not all(zero_error_decode_check(inst, broken))
 
 
 @st.composite
@@ -300,6 +322,16 @@ def test_check_scheme_matches_subset_ranks_on_random_schemes(case):
     inst, scheme, choice = case
     _assert_same_verdict(inst, scheme, choice)
     _assert_same_verdict(inst, scheme, None)
+
+
+@settings(max_examples=300)
+@given(_instances_schemes_and_choices())
+def test_zero_error_modes_agree_on_small_random_schemes(case):
+    # Up to 10 unknown bits, zero-bit messages among them.
+    inst, scheme, _ = case
+    verdict = _zero_error_by_nullspace(inst, scheme)
+    assert zero_error_decode_check(inst, scheme, mode="algebraic") == verdict
+    assert zero_error_decode_check(inst, scheme, mode="enumerate") == verdict
 
 
 @pytest.mark.parametrize("user", [0, -1, 7])
